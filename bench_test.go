@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,7 +21,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/collectives"
-	"repro/internal/comm"
 	"repro/internal/exchange"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
@@ -36,11 +36,10 @@ import (
 
 // simulate costs one exchange plan on a fresh simulated network via the
 // trace-compiled path (bit-identical to the goroutine-backed Simulate,
-// without moving payloads; BenchmarkCostingGoroutine keeps the old path
-// honest).
+// without moving payloads).
 func simulate(b *testing.B, d, m int, D partition.Partition, prm model.Params) simnet.Result {
 	b.Helper()
-	plan, err := exchange.NewPlan(d, m, D)
+	plan, err := exchange.NewPlanOn(topology.MustNew(d), m, D)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func BenchmarkE8_ContentionFree(b *testing.B) {
 		for d := 1; d <= 6; d++ {
 			h := topology.MustNew(d)
 			for _, D := range partition.All(d) {
-				plan, err := exchange.NewPlan(d, 1, D)
+				plan, err := exchange.NewPlanOn(topology.MustNew(d), 1, D)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -303,7 +302,7 @@ func BenchmarkOptimizerEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opt := optimize.New(prm) // fresh cache each iteration
-		if _, err := opt.Best(10, 64); err != nil {
+		if _, err := opt.BestOn(topology.MustNew(10), 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,30 +319,23 @@ func BenchmarkSimulateOCS_D7(b *testing.B) {
 	}
 }
 
-// costingCases is the benchmark pair's workload: the d=7 figure-sweep
+// BenchmarkCostingCompiled times the trace-compiled costing path — plans
+// lowered straight to per-node simnet programs and replayed with no
+// goroutines, no mailboxes and no payload bytes — on the d=7 figure-sweep
 // case (every Figure-6 curve at the 40B headline block) and the fully
 // simulated optimizer enumeration at d=10, m=64 (p(10)=42 candidates).
-// BenchmarkCostingCompiled and BenchmarkCostingGoroutine run the same
-// work on the trace-compiled and the 2^d-goroutine costing paths; the
-// results are bit-identical, the costs are not.
-func benchCosting(b *testing.B, costing optimize.Costing) {
+func BenchmarkCostingCompiled(b *testing.B) {
 	prm := model.IPSC860()
 	b.Run("figure6_d7_m40", func(b *testing.B) {
 		b.ReportAllocs()
 		var last float64
 		for i := 0; i < b.N; i++ {
 			for _, D := range experiments.FigureCurves(7) {
-				plan, err := exchange.NewPlan(7, 40, D)
+				plan, err := exchange.NewPlanOn(topology.MustNew(7), 40, D)
 				if err != nil {
 					b.Fatal(err)
 				}
-				net := simnet.New(topology.MustNew(7), prm)
-				var res simnet.Result
-				if costing == optimize.CostingGoroutine {
-					res, err = plan.Simulate(net)
-				} else {
-					res, err = plan.Cost(net)
-				}
+				res, err := plan.Cost(simnet.New(topology.MustNew(7), prm))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -356,29 +348,17 @@ func benchCosting(b *testing.B, costing optimize.Costing) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			opt := optimize.NewSimulated(prm) // fresh cache each iteration
-			opt.SetCosting(costing)
-			if _, err := opt.Best(10, 64); err != nil {
+			if _, err := opt.BestOn(topology.MustNew(10), 64); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkCostingCompiled times the trace-compiled costing path: plans
-// lowered straight to per-node simnet programs and replayed with no
-// goroutines, no mailboxes and no payload bytes.
-func BenchmarkCostingCompiled(b *testing.B) { benchCosting(b, optimize.CostingCompiled) }
-
-// BenchmarkCostingGoroutine times the same workload on the goroutine
-// path (2^d node goroutines moving and verifying real payloads, then
-// replaying the recorded traces) — the baseline the compiled path is
-// required to beat by ≥5× with ≥10× fewer allocations.
-func BenchmarkCostingGoroutine(b *testing.B) { benchCosting(b, optimize.CostingGoroutine) }
-
 // BenchmarkRuntimeExchange_D5 times the real-data goroutine execution of
 // the d=5 multiphase exchange (32 goroutines moving 16B blocks).
 func BenchmarkRuntimeExchange_D5(b *testing.B) {
-	plan, err := exchange.NewPlan(5, 16, partition.Partition{2, 3})
+	plan, err := exchange.NewPlanOn(topology.MustNew(5), 16, partition.Partition{2, 3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -397,7 +377,7 @@ func BenchmarkRuntimeExchange_D5(b *testing.B) {
 // baseline for future backend work.
 func BenchmarkAllToAllFabric(b *testing.B) {
 	prm := model.IPSC860()
-	plan, err := optimize.New(prm).Plan(6, 40)
+	plan, err := optimize.New(prm).PlanOn(topology.MustNew(6), 40)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,7 +496,7 @@ func BenchmarkScheduleRandomGraph(b *testing.B) {
 // d=6 OCS simulation (off vs on is visible by comparing with
 // BenchmarkSimulateOCS_D7).
 func BenchmarkTraceOverhead(b *testing.B) {
-	plan, err := exchange.NewPlan(6, 64, partition.Partition{6})
+	plan, err := exchange.NewPlanOn(topology.MustNew(6), 64, partition.Partition{6})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -557,42 +537,19 @@ func BenchmarkCircuitHopLevel(b *testing.B) {
 	b.ReportMetric(last, "laststep_µs")
 }
 
-// BenchmarkCommAllToAll times the user-facing communicator's auto-tuned
-// AllToAll with real goroutine data movement on 32 ranks.
-func BenchmarkCommAllToAll(b *testing.B) {
-	c, err := comm.New(5, model.IPSC860())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.SetTimeout(time.Minute)
-	n := c.Size()
-	for i := 0; i < b.N; i++ {
-		err := c.Run(func(r *comm.Rank) error {
-			send := make([][]byte, n)
-			for j := range send {
-				send[j] = make([]byte, 40)
-			}
-			_, err := r.AllToAll(send)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlanCacheHit times the plan cache's hot path — a (machine,
-// d, m) query answered from a resident hull line: shard lookup, binary
+// topology, m) query answered from a resident hull line: shard lookup, binary
 // search over segments, closed-form time for the exact block size.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	pc := plancache.New(plancache.Config{})
-	if _, err := pc.Get("ipsc860", 7, 40); err != nil {
+	ctx, cube := context.Background(), topology.MustNew(7)
+	if _, err := pc.GetFor(ctx, "ipsc860", cube, 40); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.Get("ipsc860", 7, (i*37)%500); err != nil {
+		if _, err := pc.GetFor(ctx, "ipsc860", cube, (i*37)%500); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -674,7 +631,7 @@ func BenchmarkBestOnPruned(b *testing.B) {
 			var st optimize.Stats
 			for i := 0; i < b.N; i++ {
 				opt := optimize.NewSimulated(prm) // fresh caches: one cold enumeration per iteration
-				if _, err := opt.Best(d, 4); err != nil {
+				if _, err := opt.BestOn(topology.MustNew(d), 4); err != nil {
 					b.Fatal(err)
 				}
 				st = opt.Stats()
@@ -689,7 +646,7 @@ func BenchmarkBestOnPruned(b *testing.B) {
 // BenchmarkBuildTableMemoized times a cold simulated hull sweep, the
 // plancache line-build unit of work. Sweep points share phase fragments
 // through the memo and warm-start each other's incumbent, so the sweep
-// costs far less than points × one cold Best (the memo_hits metric is
+// costs far less than points × one cold BestOn (the memo_hits metric is
 // the reuse across the whole sweep).
 func BenchmarkBuildTableMemoized(b *testing.B) {
 	prm := model.IPSC860()
@@ -697,7 +654,7 @@ func BenchmarkBuildTableMemoized(b *testing.B) {
 	var st optimize.Stats
 	for i := 0; i < b.N; i++ {
 		opt := optimize.NewSimulated(prm)
-		if _, err := opt.BuildTable(10, 0, 256, 16); err != nil {
+		if _, err := opt.BuildTableOn(topology.MustNew(10), 0, 256, 16); err != nil {
 			b.Fatal(err)
 		}
 		st = opt.Stats()

@@ -115,11 +115,11 @@ func main() {
 // tracing on, and writes the timeline as Chrome trace_event JSON — the
 // zoomable counterpart of the paper's Figure 3 phase structure.
 func writeExchangeTrace(path string, prm model.Params, d, m int) error {
-	plan, err := optimize.New(prm).Plan(d, m)
+	cube, err := topology.New(d)
 	if err != nil {
 		return err
 	}
-	cube, err := topology.New(d)
+	plan, err := optimize.New(prm).PlanOn(cube, m)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/optimize"
 	"repro/internal/report"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -31,7 +32,6 @@ func main() {
 	save := flag.String("save", "", "also write the table as JSON to this path (§6: compute once, reuse)")
 	load := flag.String("load", "", "load a previously saved table instead of recomputing")
 	optWorkers := flag.Int("opt-workers", 0, "optimizer candidate-costing workers, clamped to GOMAXPROCS (0 = backend default)")
-	replayWorkers := flag.Int("replay-workers", 0, "event-engine shards per simulated replay on link-disjoint phases; results stay bit-identical (0 or 1 = serial)")
 	flag.Parse()
 
 	prm, err := model.MachineByName(*machine)
@@ -41,13 +41,19 @@ func main() {
 
 	opt := optimize.New(prm)
 	opt.SetWorkers(*optWorkers)
-	opt.SetReplayShards(*replayWorkers)
 	var tbl optimize.Table
 	if *load != "" {
 		tbl, err = optimize.LoadTableFile(*load, prm)
 	} else {
-		tbl, err = opt.BuildTable(*d, *lo, *hi, *step)
+		var cube *topology.Hypercube
+		if cube, err = topology.New(*d); err == nil {
+			tbl, err = opt.BuildTableOn(cube, *lo, *hi, *step)
+		}
 	}
+	if err != nil {
+		fatal(err)
+	}
+	cube, err := topology.New(tbl.D)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,7 +68,7 @@ func main() {
 			tbl.D, *machine, *lo, *hi, *step),
 		"block range (B)", "partition", "time at range start (µs)")
 	for _, seg := range tbl.Segments {
-		c, err := opt.Best(tbl.D, seg.MinBlock)
+		c, err := opt.BestOn(cube, seg.MinBlock)
 		if err != nil {
 			fatal(err)
 		}

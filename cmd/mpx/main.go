@@ -46,7 +46,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := core.NewSystem(*d, prm)
+	cube, err := topology.New(*d)
+	if err != nil {
+		fatal(err)
+	}
+	sys, err := core.NewSystemOn(cube, prm)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,10 +118,6 @@ func main() {
 
 	if *gantt || *traceOut != "" {
 		plan, err := sys.Plan(*m, res.Partition)
-		if err != nil {
-			fatal(err)
-		}
-		cube, err := topology.New(*d)
 		if err != nil {
 			fatal(err)
 		}

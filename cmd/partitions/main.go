@@ -20,6 +20,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/partition"
 	"repro/internal/report"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -28,7 +29,6 @@ func main() {
 	machine := flag.String("machine", "ipsc860",
 		"machine model for -m costing: "+strings.Join(model.MachineNames(), " | "))
 	optWorkers := flag.Int("opt-workers", 0, "optimizer candidate-costing workers, clamped to GOMAXPROCS (0 = backend default)")
-	replayWorkers := flag.Int("replay-workers", 0, "event-engine shards per simulated replay on link-disjoint phases; results stay bit-identical (0 or 1 = serial)")
 	flag.Parse()
 
 	if *d < 0 {
@@ -39,7 +39,7 @@ func main() {
 			fatal(fmt.Errorf("d=%d too large to enumerate", *d))
 		}
 		if *m >= 0 {
-			if err := costed(*d, *m, *machine, *optWorkers, *replayWorkers); err != nil {
+			if err := costed(*d, *m, *machine, *optWorkers); err != nil {
 				fatal(err)
 			}
 			return
@@ -68,7 +68,7 @@ func main() {
 // costed prints every partition of d with its modeled multiphase time
 // for block size m — the §6 enumeration the optimizer runs, made
 // visible. The winner is marked.
-func costed(d, m int, machine string, optWorkers, replayWorkers int) error {
+func costed(d, m int, machine string, optWorkers int) error {
 	prm, err := model.MachineByName(machine)
 	if err != nil {
 		return err
@@ -79,10 +79,13 @@ func costed(d, m int, machine string, optWorkers, replayWorkers int) error {
 		"partition", "phases", "modeled (µs)", "")
 	// Ask the optimizer itself which candidate wins, so the mark always
 	// agrees with what mpx and pland serve (tie-breaks included).
+	cube, err := topology.New(d)
+	if err != nil {
+		return err
+	}
 	opt := optimize.New(prm)
 	opt.SetWorkers(optWorkers)
-	opt.SetReplayShards(replayWorkers)
-	best, err := opt.Best(d, m)
+	best, err := opt.BestOn(cube, m)
 	if err != nil {
 		return err
 	}

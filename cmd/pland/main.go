@@ -53,6 +53,7 @@ import (
 	"repro/internal/optimize"
 	"repro/internal/plancache"
 	"repro/internal/service"
+	"repro/internal/topology"
 )
 
 // options collects the daemon's flag values; main parses them and the
@@ -267,8 +268,12 @@ func newDaemon(o options) (*daemon, error) {
 		}
 	}
 	for _, dim := range dims {
+		cube, err := topology.New(dim)
+		if err != nil {
+			return nil, fmt.Errorf("warmup d=%d: %w", dim, err)
+		}
 		for name := range cache.Machines() {
-			built, err := cache.Warm(name, dim)
+			built, err := cache.WarmFor(context.Background(), name, cube)
 			if err != nil {
 				return nil, fmt.Errorf("warmup %s/d=%d: %w", name, dim, err)
 			}
@@ -279,7 +284,7 @@ func newDaemon(o options) (*daemon, error) {
 	}
 
 	// A cache miss on the simulated backend runs a full hull sweep of
-	// Best calls — hundreds of compiled replays per build — so the
+	// BestOn calls — hundreds of compiled replays per build — so the
 	// serving bound must match the per-request /v1/cost bound.
 	svcCfg := service.Config{
 		Cache:           cache,

@@ -90,7 +90,7 @@ type metricsWire struct {
 }
 
 // TestDaemonEndToEnd drives the full acceptance path: a served plan
-// equals optimize.Best, repeat queries hit the cache without touching
+// equals optimize.BestOn, repeat queries hit the cache without touching
 // the optimizer, and the shutdown snapshot restores to a warm cache
 // that answers without re-costing.
 func TestDaemonEndToEnd(t *testing.T) {
@@ -100,21 +100,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 		snapshotPath: snap,
 	})
 
-	// A served plan equals optimize.Best for the same (machine, d, m).
+	// A served plan equals optimize.BestOn for the same (machine, d, m).
 	ref := optimize.New(model.IPSC860())
 	queried := []struct{ d, m int }{{7, 40}, {7, 160}, {6, 8}, {5, 300}}
 	for _, q := range queried {
 		var got planWire
 		fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=%d", base, q.d, q.m), &got)
-		want, err := ref.Best(q.d, q.m)
+		want, err := ref.BestOn(topology.MustNew(q.d), q.m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !partition.Partition(got.Partition).Equal(want.Part) {
-			t.Errorf("d=%d m=%d: served %v, optimize.Best %v", q.d, q.m, got.Partition, want.Part)
+			t.Errorf("d=%d m=%d: served %v, optimize.BestOn %v", q.d, q.m, got.Partition, want.Part)
 		}
 		if got.PredictedUS != want.TimeMicro {
-			t.Errorf("d=%d m=%d: served %v µs, optimize.Best %v µs", q.d, q.m, got.PredictedUS, want.TimeMicro)
+			t.Errorf("d=%d m=%d: served %v µs, optimize.BestOn %v µs", q.d, q.m, got.PredictedUS, want.TimeMicro)
 		}
 	}
 
@@ -155,7 +155,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	for _, q := range queried {
 		var got planWire
 		fetch(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=%d&m=%d", base2, q.d, q.m), &got)
-		want, err := ref.Best(q.d, q.m)
+		want, err := ref.BestOn(topology.MustNew(q.d), q.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestDaemonDefaultMachineFlag(t *testing.T) {
 	if got.Machine != "hypo" {
 		t.Errorf("default machine %q, want hypo", got.Machine)
 	}
-	want, err := optimize.New(model.Hypothetical()).Best(6, 24)
+	want, err := optimize.New(model.Hypothetical()).BestOn(topology.MustNew(6), 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 	}
 	// The densest pattern for comparison: the auto-tuned complete
 	// exchange (paper §3: its time upper-bounds every pattern).
-	sys, err := core.NewSystem(d, prm)
+	sys, err := core.NewSystemOn(cube, prm)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -42,7 +43,7 @@ func main() {
 	}
 
 	// What does each transpose cost on the modeled machine?
-	sys, err := core.NewSystem(3, prm)
+	sys, err := core.NewSystemOn(topology.MustNew(3), prm)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // picks {3,4} and beats both classical algorithms by roughly 2×, with the
 // data movement verified by real goroutines.
 func TestPaperHeadlineEndToEnd(t *testing.T) {
-	sys, err := core.NewSystem(7, model.IPSC860())
+	sys, err := core.NewSystemOn(topology.MustNew(7), model.IPSC860())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestOptimizerSimulatorRuntimeAgree(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, d := range []int{5, 6, 7} {
-		sys, err := core.NewSystem(d, model.IPSC860())
+		sys, err := core.NewSystemOn(topology.MustNew(d), model.IPSC860())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestFigureCurvesConsistentWithOptimizer(t *testing.T) {
 					best = c.Y[i]
 				}
 			}
-			choice, err := opt.Best(d, m)
+			choice, err := opt.BestOn(topology.MustNew(d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestLargeCubeSmoke(t *testing.T) {
 	}
 	prm := model.IPSC860()
 	for _, d := range []int{8, 9, 10} {
-		plan, err := exchange.NewOptimalPlan(d, 16)
+		plan, err := exchange.NewPlanOn(topology.MustNew(d), 16, partition.Partition{d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestMillionNodePlanning(t *testing.T) {
 	prm := model.IPSC860()
 	opt := optimize.New(prm)
 	start := time.Now()
-	c, err := opt.Best(20, 64)
+	c, err := opt.BestOn(topology.MustNew(20), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestMillionNodePlanning(t *testing.T) {
 // end to end against the exchange on one shared network.
 func TestCollectivesUpperBoundEndToEnd(t *testing.T) {
 	prm := model.IPSC860()
-	sys, err := core.NewSystem(6, prm)
+	sys, err := core.NewSystemOn(topology.MustNew(6), prm)
 	if err != nil {
 		t.Fatal(err)
 	}

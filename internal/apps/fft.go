@@ -9,7 +9,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/optimize"
 )
 
 // FFT computes the in-place radix-2 decimation-in-time FFT of x (length a
@@ -197,8 +196,7 @@ func FFT2D(g *Grid2D, prm model.Params, inverse bool, timeout time.Duration) err
 	}
 	rows := g.rowsPerProc()
 	panelBytes := rows * rows * 16
-	opt := optimize.New(prm)
-	plan, err := opt.Plan(d, panelBytes)
+	plan, err := bestPlan(prm, d, panelBytes)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/optimize"
 )
 
 // LookupTable is a table of uint64→uint64 entries partitioned over n
@@ -81,8 +80,7 @@ func (t *LookupTable) BatchLookup(queries [][]uint64, prm model.Params, timeout 
 	}
 	blockBytes := keyBytes * maxBucket
 
-	opt := optimize.New(prm)
-	plan, err := opt.Plan(d, blockBytes)
+	plan, err := bestPlan(prm, d, blockBytes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -113,7 +111,7 @@ func (t *LookupTable) BatchLookup(queries [][]uint64, prm model.Params, timeout 
 				binary.LittleEndian.PutUint64(blk[8+i*8:], k)
 			}
 		}
-		qplan, err := exchange.NewPlan(d, blockBytes+8, plan.Partition())
+		qplan, err := exchange.NewPlanOn(plan.Topology(), blockBytes+8, plan.Partition())
 		if err != nil {
 			return err
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/optimize"
+	"repro/internal/topology"
 )
 
 // BlockMatrix is an n·bs × n·bs matrix of float64 partitioned into n×n
@@ -93,8 +94,7 @@ func Transpose(m *BlockMatrix, prm model.Params, timeout time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("apps: matrix grid %d is not a power of two", m.N)
 	}
-	opt := optimize.New(prm)
-	plan, err := opt.Plan(d, m.BlockBytes())
+	plan, err := bestPlan(prm, d, m.BlockBytes())
 	if err != nil {
 		return err
 	}
@@ -154,3 +154,13 @@ func ADISweeps(m *BlockMatrix, prm model.Params, opFn func(row []float64), timeo
 }
 
 func log2(n int) int { return bitutil.Log2Exact(n) }
+
+// bestPlan returns the optimizer's plan for a complete exchange of
+// m-byte blocks on a d-cube.
+func bestPlan(prm model.Params, d, m int) (*exchange.Plan, error) {
+	cube, err := topology.New(d)
+	if err != nil {
+		return nil, err
+	}
+	return optimize.New(prm).PlanOn(cube, m)
+}

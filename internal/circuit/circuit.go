@@ -195,7 +195,7 @@ func (n *Network) Run(messages []Message) (Result, error) {
 				// was retrying (kept at the front of path) is consumed.
 				next.path = next.path[1:]
 				nc := next
-				eng.At(now+event.Time(n.prm.Delta), func(t event.Time) {
+				eng.Post(now+event.Time(n.prm.Delta), func(t event.Time) {
 					nc.at = e.To
 					advance(nc, t)
 				})
@@ -210,7 +210,7 @@ func (n *Network) Run(messages []Message) (Result, error) {
 		if cs.at == cs.msg.Dst {
 			// Path complete: stream the payload, then tear down.
 			dur := n.prm.Lambda + n.prm.Tau*float64(cs.msg.Bytes)
-			eng.At(now+event.Time(dur), func(t event.Time) {
+			eng.Post(now+event.Time(dur), func(t event.Time) {
 				cs.done = true
 				res.Completions[cs.idx].Done = true
 				res.Completions[cs.idx].Finish = float64(t)
@@ -228,7 +228,7 @@ func (n *Network) Run(messages []Message) (Result, error) {
 			l.owner = cs
 			cs.held = append(cs.held, e)
 			cs.path = cs.path[1:]
-			eng.At(now+event.Time(n.prm.Delta), func(t event.Time) {
+			eng.Post(now+event.Time(n.prm.Delta), func(t event.Time) {
 				cs.at = e.To
 				advance(cs, t)
 			})
@@ -243,7 +243,7 @@ func (n *Network) Run(messages []Message) (Result, error) {
 	for i, m := range messages {
 		cs := &circuitState{idx: i, msg: m, at: m.Src, path: paths[i]}
 		states[i] = cs
-		eng.At(event.Time(m.Start), func(t event.Time) { advance(cs, t) })
+		eng.Post(event.Time(m.Start), func(t event.Time) { advance(cs, t) })
 	}
 	if !eng.RunLimit(10_000_000) {
 		return res, fmt.Errorf("circuit: event budget exhausted")

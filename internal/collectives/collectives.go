@@ -318,38 +318,3 @@ func AllGatherOn(nd fabric.Node, block []byte) ([][]byte, error) {
 	}
 	return blocks, nil
 }
-
-// ReduceOn applies fn pairwise up the gather tree and returns the
-// reduction of all nodes' values at the root (nil elsewhere). fn must be
-// associative and commutative over the byte-slice encoding.
-func ReduceOn(nd fabric.Node, root int, value []byte, fn func(a, b []byte) []byte) ([]byte, error) {
-	d, err := nodeDim(nd)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkRoot(root, nd.N()); err != nil {
-		return nil, err
-	}
-	p := nd.ID()
-	r := p ^ root
-	join := joinBit(r, d)
-	for i := 0; i < d; i++ {
-		if bit := 1 << uint(i); bit < join {
-			nd.PostRecv(p ^ bit)
-		}
-	}
-	acc := append([]byte(nil), value...)
-	for i := 0; i < d; i++ {
-		bit := 1 << uint(i)
-		switch {
-		case bit < join:
-			acc = fn(acc, nd.Recv(p^bit))
-		case bit == join:
-			nd.Send(p^bit, acc)
-		}
-	}
-	if r != 0 {
-		return nil, nil
-	}
-	return acc, nil
-}

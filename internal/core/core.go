@@ -4,8 +4,8 @@
 //
 // Typical use:
 //
-//	sys := core.NewSystem(6, model.IPSC860())     // 64-node iPSC-860
-//	res, err := sys.CompleteExchange(40)           // auto-tuned partition
+//	sys, err := core.NewSystemOn(topology.MustNew(6), model.IPSC860()) // 64-node iPSC-860
+//	res, err := sys.CompleteExchange(40)                               // auto-tuned partition
 //	fmt.Println(res.Partition, res.SimulatedMicros)
 //
 // The System chooses the optimal multiphase partition for each block size
@@ -45,16 +45,6 @@ type System struct {
 	pcMachine string
 }
 
-// NewSystem returns a system for a d-dimensional cube with the given
-// machine parameters.
-func NewSystem(d int, prm model.Params) (*System, error) {
-	cube, err := topology.New(d)
-	if err != nil {
-		return nil, err
-	}
-	return NewSystemOn(cube, prm)
-}
-
 // NewSystemOn returns a system over any topology — the entry point for
 // torus and mesh machines, e.g.
 //
@@ -68,15 +58,6 @@ func NewSystemOn(topo topology.Network, prm model.Params) (*System, error) {
 		return nil, fmt.Errorf("core: %s exceeds the system limit of 2^20 nodes", topo.Name())
 	}
 	return &System{dim: topo.NumDims(), prm: prm, opt: optimize.New(prm), topo: topo}, nil
-}
-
-// MustNewSystem is NewSystem, panicking on error.
-func MustNewSystem(d int, prm model.Params) *System {
-	s, err := NewSystem(d, prm)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Dim returns the number of topology dimensions (the cube dimension on a

@@ -11,30 +11,34 @@ import (
 	"repro/internal/topology"
 )
 
-func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(-1, model.IPSC860()); err == nil {
-		t.Error("negative dim must fail")
+// mustSystem returns a System over a d-cube.
+func mustSystem(t *testing.T, d int, prm model.Params) *System {
+	t.Helper()
+	s, err := NewSystemOn(topology.MustNew(d), prm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s, err := NewSystem(5, model.IPSC860())
+	return s
+}
+
+func TestNewSystemValidation(t *testing.T) {
+	if _, err := NewSystemOn(nil, model.IPSC860()); err == nil {
+		t.Error("nil topology must fail")
+	}
+	if _, err := NewSystemOn(topology.MustNew(21), model.IPSC860()); err == nil {
+		t.Error("a cube above the system limit must fail")
+	}
+	s, err := NewSystemOn(topology.MustNew(5), model.IPSC860())
 	if err != nil || s.Dim() != 5 || s.Nodes() != 32 {
-		t.Fatalf("NewSystem: %v %v", s, err)
+		t.Fatalf("NewSystemOn: %v %v", s, err)
 	}
 	if s.Params().Lambda != 95.0 {
 		t.Error("Params accessor")
 	}
 }
 
-func TestMustNewSystemPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNewSystem(-1) must panic")
-		}
-	}()
-	MustNewSystem(-1, model.IPSC860())
-}
-
 func TestCompleteExchangeAutoTunes(t *testing.T) {
-	s := MustNewSystem(6, model.IPSC860())
+	s := mustSystem(t, 6, model.IPSC860())
 	res, err := s.CompleteExchange(40)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +59,7 @@ func TestCompleteExchangeAutoTunes(t *testing.T) {
 }
 
 func TestPredictionMatchesSimulation(t *testing.T) {
-	s := MustNewSystem(5, model.IPSC860())
+	s := mustSystem(t, 5, model.IPSC860())
 	for _, m := range []int{1, 40, 200} {
 		res, err := s.CompleteExchange(m)
 		if err != nil {
@@ -69,7 +73,7 @@ func TestPredictionMatchesSimulation(t *testing.T) {
 }
 
 func TestExchangeWithExplicitPartition(t *testing.T) {
-	s := MustNewSystem(5, model.IPSC860())
+	s := mustSystem(t, 5, model.IPSC860())
 	res, err := s.ExchangeWith(24, partition.Partition{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +87,7 @@ func TestExchangeWithExplicitPartition(t *testing.T) {
 }
 
 func TestVerifiedExchange(t *testing.T) {
-	s := MustNewSystem(4, model.IPSC860())
+	s := mustSystem(t, 4, model.IPSC860())
 	res, err := s.VerifiedExchange(8, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +98,7 @@ func TestVerifiedExchange(t *testing.T) {
 }
 
 func TestBestPartitionDelegates(t *testing.T) {
-	s := MustNewSystem(7, model.IPSC860())
+	s := mustSystem(t, 7, model.IPSC860())
 	p, err := s.BestPartition(40)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +110,7 @@ func TestBestPartitionDelegates(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	s := MustNewSystem(5, model.IPSC860())
+	s := mustSystem(t, 5, model.IPSC860())
 	if _, err := s.Predict(10, partition.Partition{9}); err == nil {
 		t.Error("bad partition must fail")
 	}
@@ -117,7 +121,7 @@ func TestPredictValidation(t *testing.T) {
 }
 
 func TestZeroDimSystem(t *testing.T) {
-	s := MustNewSystem(0, model.IPSC860())
+	s := mustSystem(t, 0, model.IPSC860())
 	res, err := s.CompleteExchange(100)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +135,7 @@ func TestZeroDimSystem(t *testing.T) {
 }
 
 func TestPlanAccessor(t *testing.T) {
-	s := MustNewSystem(5, model.IPSC860())
+	s := mustSystem(t, 5, model.IPSC860())
 	p, err := s.Plan(16, partition.Partition{2, 3})
 	if err != nil || p.Dim() != 5 {
 		t.Fatalf("Plan: %v %v", p, err)
@@ -139,7 +143,7 @@ func TestPlanAccessor(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	s := MustNewSystem(3, model.IPSC860())
+	s := mustSystem(t, 3, model.IPSC860())
 	// Negative block sizes propagate from the optimizer.
 	if _, err := s.CompleteExchange(-1); err == nil {
 		t.Error("negative block must fail")
@@ -212,7 +216,7 @@ func TestTorusSystemUsesPlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pc.LookupOn("hypo", "torus-3x3", 24)
+	want, err := pc.LookupFor("hypo", topology.MustParseSpec("torus-3x3"), 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,11 @@ import (
 
 func TestPlanCacheFastPathMatchesOptimizer(t *testing.T) {
 	pc := plancache.New(plancache.Config{})
-	cached := MustNewSystem(6, model.IPSC860())
+	cached := mustSystem(t, 6, model.IPSC860())
 	if err := cached.UsePlanCache(pc, "ipsc860"); err != nil {
 		t.Fatal(err)
 	}
-	direct := MustNewSystem(6, model.IPSC860())
+	direct := mustSystem(t, 6, model.IPSC860())
 
 	for _, m := range []int{0, 8, 40, 200} {
 		want, err := direct.BestPartition(m)
@@ -49,8 +49,8 @@ func TestPlanCacheFastPathMatchesOptimizer(t *testing.T) {
 
 func TestPlanCacheFastPathSharesLines(t *testing.T) {
 	pc := plancache.New(plancache.Config{})
-	a := MustNewSystem(6, model.IPSC860())
-	b := MustNewSystem(6, model.IPSC860())
+	a := mustSystem(t, 6, model.IPSC860())
+	b := mustSystem(t, 6, model.IPSC860())
 	for _, s := range []*System{a, b} {
 		if err := s.UsePlanCache(pc, "ipsc860"); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestPlanCacheFastPathSharesLines(t *testing.T) {
 
 func TestUsePlanCacheRejectsParamMismatch(t *testing.T) {
 	pc := plancache.New(plancache.Config{})
-	s := MustNewSystem(6, model.Ncube2())
+	s := mustSystem(t, 6, model.Ncube2())
 	if err := s.UsePlanCache(pc, "ipsc860"); err == nil {
 		t.Error("expected error attaching ipsc860 cache to an Ncube-2 system")
 	}
@@ -78,7 +78,7 @@ func TestUsePlanCacheRejectsParamMismatch(t *testing.T) {
 	restricted := plancache.New(plancache.Config{
 		Machines: map[string]model.Params{"hypo": model.Hypothetical()},
 	})
-	ipsc := MustNewSystem(6, model.IPSC860())
+	ipsc := mustSystem(t, 6, model.IPSC860())
 	if err := ipsc.UsePlanCache(restricted, "ipsc860"); err == nil {
 		t.Error("expected error attaching a machine the cache does not serve")
 	}

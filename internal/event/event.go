@@ -3,6 +3,10 @@
 // callbacks. The circuit-switched network simulator (package simnet) and
 // its clients are built on it.
 //
+// Events are fire-and-forget: Post and PostArg schedule a callback and
+// return nothing, and the engine recycles each event after it fires, so
+// a warm engine schedules without allocating.
+//
 // Determinism: events at equal times fire in scheduling order (FIFO among
 // ties), so repeated runs of the same program produce identical traces.
 package event
@@ -25,20 +29,14 @@ type Handler func(now Time)
 // capture its argument.
 type ArgHandler func(now Time, arg int)
 
-// Event is a scheduled callback. It is returned by Engine.At so callers
-// can cancel it.
-type Event struct {
+// event is one scheduled callback; exactly one of handler and argh is set.
+type event struct {
 	time    Time
 	seq     uint64
-	index   int // heap index, -1 when not queued
 	handler Handler
 	argh    ArgHandler
 	arg     int
-	pooled  bool // recycled into the engine's free list after firing
 }
-
-// Time returns the maturity time of the event.
-func (e *Event) Time() Time { return e.time }
 
 // Engine is a discrete-event scheduler.
 type Engine struct {
@@ -46,7 +44,7 @@ type Engine struct {
 	seq    uint64
 	queue  eventHeap
 	nsteps uint64
-	free   []*Event // recycled events for Post/PostArg
+	free   []*event // fired events, reused by Post/PostArg
 }
 
 // New returns an engine with the clock at zero.
@@ -61,83 +59,47 @@ func (g *Engine) Steps() uint64 { return g.nsteps }
 // Pending returns the number of queued events.
 func (g *Engine) Pending() int { return len(g.queue) }
 
-// At schedules h to fire at absolute time t. Scheduling in the past
-// (t < Now) panics: it indicates a logic error in the caller.
-func (g *Engine) At(t Time, h Handler) *Event {
-	if t < g.now {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
-	}
-	if h == nil {
-		panic("event: nil handler")
-	}
-	e := &Event{time: t, seq: g.seq, handler: h}
-	g.seq++
-	heap.Push(&g.queue, e)
-	return e
-}
-
-// Post schedules h to fire at absolute time t, like At, but the Event is
-// recycled by the engine after it fires: no handle is returned and the
-// event cannot be cancelled. Simulation hot loops use Post/PostArg so a
-// run performs no per-event allocation once the free list is warm.
+// Post schedules h to fire at absolute time t. Scheduling in the past
+// (t < Now) or with a nil handler panics: either indicates a logic error
+// in the caller.
 func (g *Engine) Post(t Time, h Handler) {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	e := g.pooledEvent(t)
+	e := g.newEvent(t)
 	e.handler = h
 	heap.Push(&g.queue, e)
 }
 
-// PostArg schedules h(now, arg) to fire at absolute time t with pooled-
-// event semantics (see Post). The handler is stored as passed, so reusing
-// one bound ArgHandler across calls makes scheduling allocation-free.
+// PostArg schedules h(now, arg) to fire at absolute time t (see Post).
+// The handler is stored as passed, so reusing one bound ArgHandler across
+// calls makes scheduling allocation-free.
 func (g *Engine) PostArg(t Time, h ArgHandler, arg int) {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	e := g.pooledEvent(t)
+	e := g.newEvent(t)
 	e.argh = h
 	e.arg = arg
 	heap.Push(&g.queue, e)
 }
 
-// pooledEvent returns a recycled (or new) event stamped for time t.
-func (g *Engine) pooledEvent(t Time) *Event {
+// newEvent returns a recycled (or new) event stamped for time t.
+func (g *Engine) newEvent(t Time) *event {
 	if t < g.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
 	}
-	var e *Event
+	var e *event
 	if n := len(g.free); n > 0 {
 		e = g.free[n-1]
 		g.free[n-1] = nil
 		g.free = g.free[:n-1]
 	} else {
-		e = &Event{}
+		e = &event{}
 	}
-	*e = Event{time: t, seq: g.seq, pooled: true}
+	*e = event{time: t, seq: g.seq}
 	g.seq++
 	return e
-}
-
-// After schedules h to fire dt microseconds from now (dt ≥ 0).
-func (g *Engine) After(dt Time, h Handler) *Event {
-	if dt < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", dt))
-	}
-	return g.At(g.now+dt, h)
-}
-
-// Cancel removes a scheduled event; cancelling an already-fired or
-// already-cancelled event is a no-op. Reports whether the event was
-// actually removed.
-func (g *Engine) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 {
-		return false
-	}
-	heap.Remove(&g.queue, e.index)
-	e.index = -1
-	return true
 }
 
 // Step executes the single earliest event. It reports false when the
@@ -146,17 +108,15 @@ func (g *Engine) Step() bool {
 	if len(g.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&g.queue).(*Event)
+	e := heap.Pop(&g.queue).(*event)
 	if e.time < g.now {
 		panic("event: time ran backwards")
 	}
 	g.now = e.time
 	g.nsteps++
 	h, argh, arg := e.handler, e.argh, e.arg
-	if e.pooled {
-		*e = Event{index: -1}
-		g.free = append(g.free, e)
-	}
+	*e = event{}
+	g.free = append(g.free, e)
 	if argh != nil {
 		argh(g.now, arg)
 	} else {
@@ -168,20 +128,6 @@ func (g *Engine) Step() bool {
 // Run executes events until the queue is empty and returns the final time.
 func (g *Engine) Run() Time {
 	for g.Step() {
-	}
-	return g.now
-}
-
-// RunUntil executes events with time ≤ deadline; events beyond the
-// deadline remain queued. The clock is advanced to min(deadline, time of
-// last executed event ... deadline) — after RunUntil, Now() == deadline if
-// any events remained, else the time of the last event.
-func (g *Engine) RunUntil(deadline Time) Time {
-	for len(g.queue) > 0 && g.queue[0].time <= deadline {
-		g.Step()
-	}
-	if len(g.queue) > 0 && g.now < deadline {
-		g.now = deadline
 	}
 	return g.now
 }
@@ -201,7 +147,7 @@ func (g *Engine) RunLimit(n uint64) bool {
 const Inf = Time(math.MaxFloat64)
 
 // eventHeap orders events by (time, seq).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -210,22 +156,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }

@@ -12,9 +12,16 @@ func TestFIFOAmongTies(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		g.At(5, func(Time) { order = append(order, i) })
+		if i%2 == 0 {
+			g.Post(5, func(Time) { order = append(order, i) })
+		} else {
+			g.PostArg(5, func(_ Time, arg int) { order = append(order, arg) }, i)
+		}
 	}
 	g.Run()
+	if len(order) != 10 {
+		t.Fatalf("fired %d events, want 10", len(order))
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("tie order = %v", order)
@@ -28,7 +35,7 @@ func TestTimeOrdering(t *testing.T) {
 	times := []Time{9, 3, 7, 1, 3, 8, 0}
 	for _, tm := range times {
 		tm := tm
-		g.At(tm, func(now Time) {
+		g.Post(tm, func(now Time) {
 			if now != tm {
 				t.Errorf("fired at %v, scheduled %v", now, tm)
 			}
@@ -47,112 +54,38 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
-func TestAfter(t *testing.T) {
-	g := New()
-	var hit Time
-	g.At(10, func(Time) {
-		g.After(5, func(now Time) { hit = now })
-	})
-	g.Run()
-	if hit != 15 {
-		t.Errorf("After fired at %v, want 15", hit)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
-	g := New()
-	g.At(10, func(Time) {})
-	g.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past must panic")
-		}
-	}()
-	g.At(5, func(Time) {})
-}
-
-func TestNegativeAfterPanics(t *testing.T) {
-	g := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay must panic")
-		}
-	}()
-	g.After(-1, func(Time) {})
+	for name, post := range map[string]func(g *Engine){
+		"Post":    func(g *Engine) { g.Post(5, func(Time) {}) },
+		"PostArg": func(g *Engine) { g.PostArg(5, func(Time, int) {}, 0) },
+	} {
+		g := New()
+		g.Post(10, func(Time) {})
+		g.Run()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: scheduling in the past must panic", name)
+				}
+			}()
+			post(g)
+		}()
+	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {
-	g := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler must panic")
-		}
-	}()
-	g.At(1, nil)
-}
-
-func TestCancel(t *testing.T) {
-	g := New()
-	fired := false
-	e := g.At(5, func(Time) { fired = true })
-	if !g.Cancel(e) {
-		t.Error("first cancel must succeed")
-	}
-	if g.Cancel(e) {
-		t.Error("second cancel must be a no-op")
-	}
-	if g.Cancel(nil) {
-		t.Error("cancel(nil) must be a no-op")
-	}
-	g.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	g := New()
-	var fired []int
-	var evs []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		evs = append(evs, g.At(Time(i), func(Time) { fired = append(fired, i) }))
-	}
-	// Cancel all odd events.
-	for i := 1; i < 20; i += 2 {
-		g.Cancel(evs[i])
-	}
-	g.Run()
-	if len(fired) != 10 {
-		t.Fatalf("fired %v", fired)
-	}
-	for _, v := range fired {
-		if v%2 != 0 {
-			t.Fatalf("odd event %d fired", v)
-		}
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	g := New()
-	var fired []Time
-	for _, tm := range []Time{1, 5, 10, 15} {
-		tm := tm
-		g.At(tm, func(now Time) { fired = append(fired, now) })
-	}
-	g.RunUntil(10)
-	if len(fired) != 3 {
-		t.Errorf("fired %v, want 3 events", fired)
-	}
-	if g.Now() != 10 {
-		t.Errorf("now = %v, want 10", g.Now())
-	}
-	if g.Pending() != 1 {
-		t.Errorf("pending = %d", g.Pending())
-	}
-	g.Run()
-	if len(fired) != 4 {
-		t.Error("remaining event must fire on Run")
+	for name, post := range map[string]func(g *Engine){
+		"Post":    func(g *Engine) { g.Post(1, nil) },
+		"PostArg": func(g *Engine) { g.PostArg(1, nil, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: nil handler must panic", name)
+				}
+			}()
+			post(New())
+		}()
 	}
 }
 
@@ -160,7 +93,7 @@ func TestRunLimit(t *testing.T) {
 	g := New()
 	count := 0
 	for i := 0; i < 10; i++ {
-		g.At(Time(i), func(Time) { count++ })
+		g.Post(Time(i), func(Time) { count++ })
 	}
 	if g.RunLimit(4) {
 		t.Error("queue must not drain in 4 steps")
@@ -168,16 +101,11 @@ func TestRunLimit(t *testing.T) {
 	if count != 4 {
 		t.Errorf("count = %d", count)
 	}
+	if g.Pending() != 6 {
+		t.Errorf("pending = %d, want 6", g.Pending())
+	}
 	if !g.RunLimit(100) {
 		t.Error("queue must drain")
-	}
-}
-
-func TestEventTimeAccessor(t *testing.T) {
-	g := New()
-	e := g.At(7, func(Time) {})
-	if e.Time() != 7 {
-		t.Errorf("Time() = %v", e.Time())
 	}
 }
 
@@ -191,7 +119,7 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 			if depth > 3 {
 				return
 			}
-			g.After(Time(rng.Intn(100)), func(now Time) {
+			g.Post(g.Now()+Time(rng.Intn(100)), func(now Time) {
 				trace = append(trace, now)
 				spawn(depth + 1)
 				spawn(depth + 1)
@@ -202,6 +130,9 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 		return trace
 	}
 	a, b := run(42), run(42)
+	if len(a) != 15 {
+		t.Fatalf("trace has %d events, want 2^4−1 = 15", len(a))
+	}
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic trace length")
 	}
@@ -227,17 +158,17 @@ func TestPostAndPostArgPooling(t *testing.T) {
 	var order []string
 	g.Post(2, func(Time) { order = append(order, "post@2") })
 	g.PostArg(1, func(_ Time, arg int) { order = append(order, fmt.Sprintf("arg%d@1", arg)) }, 7)
-	g.At(1, func(Time) { order = append(order, "at@1") })
+	g.Post(1, func(Time) { order = append(order, "post@1") })
 	g.Run()
-	want := []string{"arg7@1", "at@1", "post@2"}
+	want := []string{"arg7@1", "post@1", "post@2"}
 	for i, w := range want {
 		if order[i] != w {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 
-	// Pooled events are recycled: a chain of sequential Posts reuses one
-	// Event from the free list instead of allocating per step.
+	// Events are recycled: a chain of sequential Posts reuses one event
+	// from the free list instead of allocating per step.
 	g2 := New()
 	count := 0
 	var tick Handler
@@ -260,18 +191,5 @@ func TestPostAndPostArgPooling(t *testing.T) {
 	// must not allocate per event (allow slack for the heap slice).
 	if allocs > 5 {
 		t.Errorf("pooled Post allocated %.0f times per run", allocs)
-	}
-
-	// Cancellable At events coexist with pooled ones.
-	g3 := New()
-	fired := false
-	e := g3.At(5, func(Time) { fired = true })
-	g3.PostArg(5, func(Time, int) {}, 0)
-	if !g3.Cancel(e) {
-		t.Error("cancel must succeed")
-	}
-	g3.Run()
-	if fired {
-		t.Error("cancelled event fired")
 	}
 }

@@ -59,7 +59,7 @@ func TestCompiledMatchesRecordedTraces(t *testing.T) {
 	}
 	for _, mc := range machines {
 		for _, c := range cases {
-			plan, err := NewPlan(c.d, c.m, c.D)
+			plan, err := NewPlanOn(topology.MustNew(c.d), c.m, c.D)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestCostEqualsSimulate(t *testing.T) {
 			{5, 40, partition.Partition{2, 3}},
 			{5, 0, partition.Partition{5}},
 		} {
-			plan, err := NewPlan(c.d, c.m, c.D)
+			plan, err := NewPlanOn(topology.MustNew(c.d), c.m, c.D)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestCostEqualsSimulate(t *testing.T) {
 // Cost must also agree under jitter: the compiled source replays through
 // the same engine with the same per-Run noise stream.
 func TestCostEqualsSimulateWithJitter(t *testing.T) {
-	plan, err := NewPlan(4, 64, partition.Partition{2, 2})
+	plan, err := NewPlanOn(topology.MustNew(4), 64, partition.Partition{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCostEqualsSimulateWithJitter(t *testing.T) {
 
 // The compact Source view and the materialized programs must agree.
 func TestCompiledSourceMatchesPrograms(t *testing.T) {
-	plan, err := NewPlan(4, 24, partition.Partition{1, 3})
+	plan, err := NewPlanOn(topology.MustNew(4), 24, partition.Partition{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCompiledSourceMatchesPrograms(t *testing.T) {
 }
 
 func TestCostDimensionMismatch(t *testing.T) {
-	plan, err := NewPlan(3, 8, partition.Partition{3})
+	plan, err := NewPlanOn(topology.MustNew(3), 8, partition.Partition{3})
 	if err != nil {
 		t.Fatal(err)
 	}

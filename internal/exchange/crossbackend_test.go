@@ -47,7 +47,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		n := 1 << uint(d)
 		for _, D := range partition.All(d) {
 			for _, m := range []int{1, 8, 40} {
-				plan, err := NewPlan(d, m, D)
+				plan, err := NewPlanOn(topology.MustNew(d), m, D)
 				if err != nil {
 					t.Fatal(err)
 				}

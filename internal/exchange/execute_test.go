@@ -27,7 +27,7 @@ func TestRunDataAllPartitions(t *testing.T) {
 		}
 		for _, D := range parts {
 			for _, m := range []int{1, 8} {
-				p, err := NewPlan(d, m, D)
+				p, err := NewPlanOn(topology.MustNew(d), m, D)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func TestRunDataLargerCube(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, D := range []partition.Partition{{3, 4}, {2, 2, 3}, {7}, {1, 1, 1, 1, 1, 1, 1}} {
-		p, err := NewPlan(7, 16, D)
+		p, err := NewPlanOn(topology.MustNew(7), 16, D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRunDataLargerCube(t *testing.T) {
 }
 
 func TestRunDataZeroBytes(t *testing.T) {
-	p, err := NewPlan(3, 0, partition.Partition{2, 1})
+	p, err := NewPlanOn(topology.MustNew(3), 0, partition.Partition{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRunDataQuick(t *testing.T) {
 		parts := partition.All(d)
 		D := parts[int(pRaw)%len(parts)]
 		m := int(mRaw)%17 + 1
-		p, err := NewPlan(d, m, D)
+		p, err := NewPlanOn(topology.MustNew(d), m, D)
 		if err != nil {
 			return false
 		}
@@ -83,7 +83,7 @@ func TestRunDataQuick(t *testing.T) {
 }
 
 func TestExecuteMismatchedBuffer(t *testing.T) {
-	p, _ := NewPlan(3, 4, partition.Partition{3})
+	p, _ := NewPlanOn(topology.MustNew(3), 4, partition.Partition{3})
 	c, err := runtime.NewCluster(8)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ type fmtError string
 func (e fmtError) Error() string { return string(e) }
 
 func TestExecuteWrongClusterSize(t *testing.T) {
-	p, _ := NewPlan(3, 4, partition.Partition{3})
+	p, _ := NewPlanOn(topology.MustNew(3), 4, partition.Partition{3})
 	c, err := runtime.NewCluster(4) // plan wants 8
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestSimulateMatchesModelHypothetical(t *testing.T) {
 		net := simnet.New(topology.MustNew(d), prm)
 		for _, D := range partition.All(d) {
 			for _, m := range []int{1, 24, 100} {
-				p, err := NewPlan(d, m, D)
+				p, err := NewPlanOn(topology.MustNew(d), m, D)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func TestSimulateMatchesModelIPSC(t *testing.T) {
 		net := simnet.New(topology.MustNew(d), prm)
 		for _, D := range []partition.Partition{{d}, {2, d - 2}} {
 			for _, m := range []int{4, 40, 160, 400} {
-				p, err := NewPlan(d, m, D)
+				p, err := NewPlanOn(topology.MustNew(d), m, D)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -186,7 +186,7 @@ func TestSimulateMatchesModelIPSC(t *testing.T) {
 func TestSimulateWorkedExample(t *testing.T) {
 	prm := model.Hypothetical()
 	net := simnet.New(topology.MustNew(6), prm)
-	p, err := NewPlan(6, 24, partition.Partition{2, 4})
+	p, err := NewPlanOn(topology.MustNew(6), 24, partition.Partition{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSimulateWorkedExample(t *testing.T) {
 		t.Errorf("worked example = %v µs, want 9984", res.Makespan)
 	}
 	// And it must beat the Standard Exchange's 15144 µs.
-	se, _ := NewStandardPlan(6, 24)
+	se, _ := NewPlanOn(topology.MustNew(6), 24, partition.Partition{1, 1, 1, 1, 1, 1})
 	seRes, err := se.Simulate(net)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSimulateWorkedExample(t *testing.T) {
 
 func TestSimulateDimensionMismatch(t *testing.T) {
 	net := simnet.New(topology.MustNew(4), model.IPSC860())
-	p, _ := NewPlan(3, 4, partition.Partition{3})
+	p, _ := NewPlanOn(topology.MustNew(3), 4, partition.Partition{3})
 	if _, err := p.Simulate(net); err == nil {
 		t.Error("dimension mismatch must fail")
 	}
@@ -220,7 +220,7 @@ func TestSimulateDimensionMismatch(t *testing.T) {
 // plan's static counts.
 func TestSimulateTrafficAccounting(t *testing.T) {
 	net := simnet.New(topology.MustNew(5), model.IPSC860())
-	p, _ := NewPlan(5, 12, partition.Partition{2, 3})
+	p, _ := NewPlanOn(topology.MustNew(5), 12, partition.Partition{2, 3})
 	res, err := p.Simulate(net)
 	if err != nil {
 		t.Fatal(err)

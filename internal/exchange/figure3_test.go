@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/runtime"
+	"repro/internal/topology"
 )
 
 // TestFigure3IntermediateState pins the paper's Figure 3 exactly: on a
@@ -21,7 +22,7 @@ import (
 // the exchange.
 func TestFigure3IntermediateState(t *testing.T) {
 	const d, m = 3, 4
-	plan, err := NewPlan(d, m, partition.Partition{2, 1})
+	plan, err := NewPlanOn(topology.MustNew(d), m, partition.Partition{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

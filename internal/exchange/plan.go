@@ -106,50 +106,6 @@ func NewPlanOn(topo topology.Network, m int, D partition.Partition) (*Plan, erro
 	return p, nil
 }
 
-// NewPlan validates (d, m, D) on a binary hypercube and precomputes the
-// phase layout.
-func NewPlan(d, m int, D partition.Partition) (*Plan, error) {
-	if d < 0 || d > 24 {
-		return nil, fmt.Errorf("exchange: dimension %d out of range [0,24]", d)
-	}
-	if d > 0 && !D.IsValid(d) && !D.Canonical().IsValid(d) {
-		return nil, fmt.Errorf("exchange: %v is not a partition of %d", D, d)
-	}
-	cube, err := topology.New(d)
-	if err != nil {
-		return nil, err
-	}
-	if d == 0 {
-		if len(D) != 0 {
-			return nil, fmt.Errorf("exchange: nonempty partition %v for 0-cube", D)
-		}
-		return NewPlanOn(cube, m, nil)
-	}
-	return NewPlanOn(cube, m, D)
-}
-
-// NewStandardPlan returns the Standard Exchange algorithm (§4.1) as the
-// degenerate plan {1,1,...,1}.
-func NewStandardPlan(d, m int) (*Plan, error) {
-	if d < 0 {
-		return nil, fmt.Errorf("exchange: dimension %d out of range [0,24]", d)
-	}
-	ones := make(partition.Partition, d)
-	for i := range ones {
-		ones[i] = 1
-	}
-	return NewPlan(d, m, ones)
-}
-
-// NewOptimalPlan returns the Optimal Circuit-Switched algorithm (§4.2) as
-// the degenerate plan {d}.
-func NewOptimalPlan(d, m int) (*Plan, error) {
-	if d == 0 {
-		return NewPlan(0, m, nil)
-	}
-	return NewPlan(d, m, partition.Partition{d})
-}
-
 // Topology returns the network the plan is laid out for.
 func (p *Plan) Topology() topology.Network { return p.topo }
 

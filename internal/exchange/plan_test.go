@@ -8,36 +8,33 @@ import (
 )
 
 func TestNewPlanValidation(t *testing.T) {
-	if _, err := NewPlan(-1, 4, partition.Partition{1}); err == nil {
-		t.Error("negative dim must fail")
-	}
-	if _, err := NewPlan(3, -4, partition.Partition{3}); err == nil {
+	if _, err := NewPlanOn(topology.MustNew(3), -4, partition.Partition{3}); err == nil {
 		t.Error("negative block size must fail")
 	}
-	if _, err := NewPlan(3, 4, partition.Partition{2, 2}); err == nil {
+	if _, err := NewPlanOn(topology.MustNew(3), 4, partition.Partition{2, 2}); err == nil {
 		t.Error("wrong partition sum must fail")
 	}
-	if _, err := NewPlan(3, 4, partition.Partition{3, 0}); err == nil {
+	if _, err := NewPlanOn(topology.MustNew(3), 4, partition.Partition{3, 0}); err == nil {
 		t.Error("zero part must fail")
 	}
-	if _, err := NewPlan(0, 4, partition.Partition{1}); err == nil {
+	if _, err := NewPlanOn(topology.MustNew(3), 4, partition.Partition{4, -1}); err == nil {
+		t.Error("negative part must fail even when the sum matches")
+	}
+	if _, err := NewPlanOn(topology.MustNew(0), 4, partition.Partition{1}); err == nil {
 		t.Error("nonempty partition for 0-cube must fail")
 	}
-	if _, err := NewPlan(0, 4, nil); err != nil {
+	if _, err := NewPlanOn(topology.MustNew(0), 4, nil); err != nil {
 		t.Errorf("0-cube plan: %v", err)
 	}
-	if _, err := NewStandardPlan(-1, 4); err == nil {
-		t.Error("negative dim standard plan must fail, not panic")
-	}
-	if _, err := NewOptimalPlan(-1, 4); err == nil {
-		t.Error("negative dim optimal plan must fail")
+	if _, err := NewPlanOn(topology.MustNew(25), 4, partition.Partition{25}); err == nil {
+		t.Error("a cube above the plan limit must fail")
 	}
 }
 
 func TestNewPlanAcceptsUnsortedPartition(t *testing.T) {
 	// The paper's figures label partitions {2,3} — phase order matters
 	// for the bit fields but any order is legal (§5 footnote).
-	p, err := NewPlan(5, 10, partition.Partition{2, 3})
+	p, err := NewPlanOn(topology.MustNew(5), 10, partition.Partition{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestNewPlanAcceptsUnsortedPartition(t *testing.T) {
 func TestPhaseLayoutFigure3(t *testing.T) {
 	// d=3, {2,1}: phase 1 on bits 2,1 moving superblocks of 2 blocks;
 	// phase 2 on bit 0 moving superblocks of 4 blocks.
-	p, err := NewPlan(3, 1, partition.Partition{2, 1})
+	p, err := NewPlanOn(topology.MustNew(3), 1, partition.Partition{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func TestPhaseLayoutFigure3(t *testing.T) {
 }
 
 func TestDegeneratePlans(t *testing.T) {
-	se, err := NewStandardPlan(4, 8)
+	se, err := NewPlanOn(topology.MustNew(4), 8, partition.Partition{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +75,7 @@ func TestDegeneratePlans(t *testing.T) {
 		// d transmissions of m·2^(d-1) bytes.
 		t.Errorf("SE traffic = %d, want %d", se.TotalTraffic(), 4*8*8)
 	}
-	ocs, err := NewOptimalPlan(4, 8)
+	ocs, err := NewPlanOn(topology.MustNew(4), 8, partition.Partition{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +88,14 @@ func TestDegeneratePlans(t *testing.T) {
 }
 
 func TestOptimalPlanZeroDim(t *testing.T) {
-	p, err := NewOptimalPlan(0, 8)
+	p, err := NewPlanOn(topology.MustNew(0), 8, nil)
 	if err != nil || p.TotalMessages() != 0 {
 		t.Errorf("0-cube optimal plan: %v %v", p, err)
 	}
 }
 
 func TestPlanAccessors(t *testing.T) {
-	p, _ := NewPlan(5, 10, partition.Partition{2, 3})
+	p, _ := NewPlanOn(topology.MustNew(5), 10, partition.Partition{2, 3})
 	if p.Dim() != 5 || p.BlockSize() != 10 || p.Nodes() != 32 {
 		t.Error("accessors wrong")
 	}
@@ -117,7 +114,7 @@ func TestPlanAccessors(t *testing.T) {
 func TestStepCounts(t *testing.T) {
 	for d := 1; d <= 7; d++ {
 		for _, D := range partition.All(d) {
-			p, err := NewPlan(d, 4, D)
+			p, err := NewPlanOn(topology.MustNew(d), 4, D)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +140,7 @@ func TestAllPlansContentionFree(t *testing.T) {
 	for d := 1; d <= 7; d++ {
 		h := topology.MustNew(d)
 		for _, D := range partition.All(d) {
-			p, err := NewPlan(d, 1, D)
+			p, err := NewPlanOn(topology.MustNew(d), 1, D)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +167,7 @@ func TestAllPlansContentionFree(t *testing.T) {
 // Transfers of one phase must stay within their subcube: partner differs
 // from the node only within the phase's bit field.
 func TestPhaseLocality(t *testing.T) {
-	p, _ := NewPlan(6, 4, partition.Partition{2, 3, 1})
+	p, _ := NewPlanOn(topology.MustNew(6), 4, partition.Partition{2, 3, 1})
 	phases := p.Phases()
 	idx := 0
 	for _, ph := range phases {
@@ -192,10 +189,10 @@ func TestTotalTrafficInvariant(t *testing.T) {
 	// multiphase moves more: traffic = Σ steps·effbytes = m·Σ(2^di−1)·2^(d−di).
 	// For {d} this is the minimum m(2^d−1); every refinement moves more.
 	d, m := 6, 10
-	ocs, _ := NewOptimalPlan(d, m)
+	ocs, _ := NewPlanOn(topology.MustNew(d), m, partition.Partition{d})
 	min := ocs.TotalTraffic()
 	for _, D := range partition.All(d) {
-		p, _ := NewPlan(d, m, D)
+		p, _ := NewPlanOn(topology.MustNew(d), m, D)
 		if p.TotalTraffic() < min {
 			t.Errorf("%v moves %d bytes, less than OCS %d", D, p.TotalTraffic(), min)
 		}

@@ -65,11 +65,11 @@ func E2WorkedExample() (*report.Table, error) {
 		"quantity", "model(µs)", "simulated(µs)", "paper(µs)")
 
 	total, phases := prm.Multiphase(m, d, D)
-	plan, err := exchange.NewPlan(d, m, D)
+	cube, err := topology.New(d)
 	if err != nil {
 		return nil, err
 	}
-	cube, err := topology.New(d)
+	plan, err := exchange.NewPlanOn(cube, m, D)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func E2WorkedExample() (*report.Table, error) {
 	t.AddRow(fmt.Sprintf("phase2 exchange (eff %dB)", phases[1].EffBlock), bare2, "", 6040.0)
 	t.AddRow("shuffles (2×ρm2^d)", 2*prm.ShuffleTime(m, d), "", 3072.0)
 	t.AddRow("total multiphase", total, res.Makespan, 10944.0)
-	se, err := exchange.NewStandardPlan(d, m)
+	se, err := exchange.NewPlanOn(cube, m, partition.Partition{1, 1, 1, 1, 1, 1})
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func FigureOn(prm model.Params, machine string, d int) (*report.Figure, error) {
 	for _, D := range FigureCurves(d) {
 		s := report.Series{Name: D.String(), X: sweep}
 		for _, m := range sweep {
-			plan, err := exchange.NewPlan(d, m, D)
+			plan, err := exchange.NewPlanOn(cube, m, D)
 			if err != nil {
 				return nil, err
 			}
@@ -216,7 +216,7 @@ func MeasuredVsPredictedOn(prm model.Params, d int) (*report.Table, error) {
 		var ss, maxDev float64
 		count := 0
 		for _, m := range BlockSweep() {
-			plan, err := exchange.NewPlan(d, m, D)
+			plan, err := exchange.NewPlanOn(cube, m, D)
 			if err != nil {
 				return nil, err
 			}
@@ -293,7 +293,7 @@ func E8Contention(dmax int) (*report.Table, error) {
 		}
 		steps, contended := 0, 0
 		for _, D := range partition.All(d) {
-			plan, err := exchange.NewPlan(d, 1, D)
+			plan, err := exchange.NewPlanOn(h, 1, D)
 			if err != nil {
 				return nil, err
 			}
@@ -344,7 +344,7 @@ func Headline() (*report.Table, error) {
 		{"optimal CS {7}", partition.Partition{7}},
 		{"multiphase {3,4}", partition.Partition{3, 4}},
 	} {
-		plan, err := exchange.NewPlan(d, m, row.D)
+		plan, err := exchange.NewPlanOn(cube, m, row.D)
 		if err != nil {
 			return nil, err
 		}

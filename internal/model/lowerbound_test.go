@@ -28,7 +28,7 @@ func TestPhaseLowerBoundExactOnHypercube(t *testing.T) {
 		net := topology.MustNew(6)
 		for _, m := range []int{0, 8, 100} {
 			for _, D := range []partition.Partition{{2, 4}, {3, 3}, {6}} {
-				plan, err := exchange.NewPlan(6, m, D)
+				plan, err := exchange.NewPlanOn(topology.MustNew(6), m, D)
 				if err != nil {
 					t.Fatal(err)
 				}

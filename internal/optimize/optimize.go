@@ -7,13 +7,13 @@
 // Two evaluation backends are available: the closed-form analytic model
 // (fast, used by default, mirrors §4.3/§7.4) and network simulation
 // (accounts for any contention the analytic model cannot see). The
-// simulated backend costs candidates on the trace-compiled path by
-// default: each plan is lowered directly to per-node simnet programs and
-// replayed through the discrete-event engine — no goroutines, no payload
-// bytes — which raises the practical dimension limit from d ≤ 10 (the old
-// 2^d-goroutine path) to d ≤ MaxSimulatedDim. The goroutine path remains
-// available (SetCosting(CostingGoroutine)) as the data-verified oracle
-// and benchmark baseline.
+// simulated backend costs candidates on the trace-compiled path: each
+// plan is lowered directly to per-node simnet programs and replayed
+// through the discrete-event engine — no goroutines, no payload bytes —
+// which raises the practical dimension limit to d ≤ MaxSimulatedDim. The
+// compiled programs are op-for-op those a goroutine run on the simulated
+// fabric records (exchange.TestCostEqualsSimulate), so a compiled cost is
+// the data-verified cost.
 //
 // Enumeration never costs the same sub-schedule twice and never costs a
 // candidate it can prove is a loser:
@@ -46,7 +46,7 @@
 //     bit-identical Choices. SetExhaustive(true) disables pruning and
 //     best-first ordering for equivalence testing.
 //
-// Concurrent Best calls on the same uncached key share one evaluation:
+// Concurrent BestOn calls on the same uncached key share one evaluation:
 // in-flight de-duplication prevents a cache stampede from running the
 // full enumeration once per caller, and concurrent identical table
 // sweeps share one build.
@@ -90,47 +90,11 @@ func (b Backend) String() string {
 	}
 }
 
-// Costing selects which simulation path the Simulated backend uses.
-type Costing int
-
-const (
-	// CostingCompiled lowers each candidate plan to per-node simnet
-	// programs with the trace compiler and replays them directly: no
-	// goroutines, no payload bytes, allocation-free hot loops. The
-	// default.
-	CostingCompiled Costing = iota
-	// CostingGoroutine runs each candidate on the simulated fabric with
-	// 2^d goroutines moving (and verifying) real payloads before the
-	// recorded traces are replayed. Slower by construction; kept as the
-	// data-verified oracle the compiled path is benchmarked against. It
-	// deliberately bypasses memoization and pruning: every candidate is
-	// simulated whole, serially.
-	CostingGoroutine
-)
-
-func (c Costing) String() string {
-	switch c {
-	case CostingCompiled:
-		return "compiled"
-	case CostingGoroutine:
-		return "goroutine"
-	default:
-		return fmt.Sprintf("Costing(%d)", int(c))
-	}
-}
-
-// MaxSimulatedDim is the dimension limit of the Simulated backend on the
-// compiled costing path. The goroutine path stays capped at
-// MaxGoroutineDim — 2^d goroutines with per-node payload buffers do not
-// scale past it — which is exactly why the compiled path exists. The
-// compiled cap rose from 16 to 18 when sharded replay landed
-// (simnet.Network.SetReplayShards): link-disjoint sub-block shards split
-// a 2^18-node phase across cores with bit-identical results, keeping
-// the largest fragments tractable.
-const (
-	MaxSimulatedDim = 18
-	MaxGoroutineDim = 10
-)
+// MaxSimulatedDim is the dimension limit of the Simulated backend.
+// Sharded replay (simnet.Network.SetReplayShards) keeps the largest
+// fragments tractable: link-disjoint sub-block shards split a 2^18-node
+// phase across cores with bit-identical results.
+const MaxSimulatedDim = 18
 
 // pruneSlack is the relative tolerance of the branch-and-bound cut: a
 // candidate is discarded only when its lower bound exceeds the incumbent
@@ -200,7 +164,6 @@ func (s *Stats) Add(t Stats) {
 type Optimizer struct {
 	params  model.Params
 	backend Backend
-	costing atomic.Int32 // Costing; atomic so SetCosting is race-free
 	evals   atomic.Int64 // evaluateAll invocations, for stampede tests
 
 	workers      atomic.Int32 // SetWorkers; ≤ 0 selects the default
@@ -316,25 +279,18 @@ func New(p model.Params) *Optimizer {
 }
 
 // NewSimulated returns an optimizer that costs candidates by simulation
-// on the trace-compiled path (see Costing). Dimensions up to
+// on the trace-compiled path. Dimensions up to
 // MaxSimulatedDim are accepted; enumeration runs on a worker pool bounded
 // by GOMAXPROCS.
 func NewSimulated(p model.Params) *Optimizer {
 	return &Optimizer{params: p, backend: Simulated, cache: make(map[key]Choice)}
 }
 
-// SetCosting selects the Simulated backend's costing path (no-op for the
-// analytic backend). Safe to call concurrently with Best; an in-flight
-// evaluation keeps the costing it started with. Switching clears nothing:
-// cached choices are identical on both paths because the compiled
-// programs are op-for-op the programs the goroutine run records.
-func (o *Optimizer) SetCosting(c Costing) { o.costing.Store(int32(c)) }
-
 // SetWorkers bounds the candidate-costing worker pool. n ≤ 0 restores
-// the default: GOMAXPROCS on the compiled simulated path, 1 for the
+// the default: GOMAXPROCS on the simulated backend, 1 for the
 // analytic backend (the closed form is too cheap to fan out unless asked
 // to). Requests above GOMAXPROCS are clamped. Safe to call concurrently
-// with Best; an in-flight evaluation keeps the pool it started with. The
+// with BestOn; an in-flight evaluation keeps the pool it started with. The
 // pool size never changes which Choice is returned.
 func (o *Optimizer) SetWorkers(n int) {
 	if max := runtime.GOMAXPROCS(0); n > max {
@@ -350,7 +306,7 @@ func (o *Optimizer) SetWorkers(n int) {
 // serial dynamics. Sharded replays are bit-identical to serial ones, so
 // the setting never changes which Choice is returned or its TimeMicro —
 // only how fast the largest fragments cost. n ≤ 1 keeps replays serial
-// (the default). Safe to call concurrently with Best; an in-flight
+// (the default). Safe to call concurrently with BestOn; an in-flight
 // evaluation keeps the count it started with.
 func (o *Optimizer) SetReplayShards(n int) {
 	if n < 0 {
@@ -398,20 +354,6 @@ func (o *Optimizer) Stats() Stats {
 // Params returns the machine parameters the optimizer evaluates against.
 func (o *Optimizer) Params() model.Params { return o.params }
 
-// Best returns the fastest partition for a complete exchange of block size
-// m on a d-cube. Results are cached; the enumeration is over the p(d)
-// partitions of d.
-func (o *Optimizer) Best(d, m int) (Choice, error) {
-	if d < 0 || d > 20 {
-		return Choice{}, fmt.Errorf("optimize: dimension %d out of range [0,20]", d)
-	}
-	cube, err := topology.New(d)
-	if err != nil {
-		return Choice{}, err
-	}
-	return o.BestOn(cube, m)
-}
-
 // MaxMixedRadixDims bounds the dimension count of topologies with
 // unequal radices: those enumerate all 2^(k−1) ordered compositions, so
 // the candidate count — unlike the uniform case's p(k), 627 at k=20 —
@@ -454,27 +396,11 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	if err := topology.CheckOperational(net); err != nil {
 		return Choice{}, fmt.Errorf("optimize: %w", err)
 	}
+	if o.backend == Simulated && net.Nodes() > 1<<MaxSimulatedDim {
+		return Choice{}, fmt.Errorf("optimize: simulated backend limited to %d nodes, got %s",
+			1<<MaxSimulatedDim, net.Name())
+	}
 	k := key{topo: net.Name(), m: m}
-	o.mu.Lock()
-	if c, ok := o.cache[k]; ok {
-		// Cached results stay reachable regardless of the current
-		// costing's dimension limit (both costings produce identical
-		// choices, so a hit is always valid).
-		o.mu.Unlock()
-		return c, nil
-	}
-	o.mu.Unlock()
-	costing := Costing(o.costing.Load())
-	if o.backend == Simulated {
-		if net.Nodes() > 1<<MaxSimulatedDim {
-			return Choice{}, fmt.Errorf("optimize: simulated backend limited to %d nodes, got %s",
-				1<<MaxSimulatedDim, net.Name())
-		}
-		if costing == CostingGoroutine && net.Nodes() > 1<<MaxGoroutineDim {
-			return Choice{}, fmt.Errorf("optimize: goroutine-costed simulated backend limited to %d nodes, got %s (use the compiled costing path)",
-				1<<MaxGoroutineDim, net.Name())
-		}
-	}
 	o.mu.Lock()
 	if c, ok := o.cache[k]; ok {
 		o.mu.Unlock()
@@ -494,7 +420,7 @@ func (o *Optimizer) bestOn(ctx context.Context, net topology.Network, m int, hin
 	o.flight[k] = f
 	o.mu.Unlock()
 
-	f.c, f.err = o.evaluateAll(ctx, net, m, costing, hint)
+	f.c, f.err = o.evaluateAll(ctx, net, m, hint)
 	o.mu.Lock()
 	if f.err == nil {
 		o.cache[k] = f.c
@@ -564,9 +490,8 @@ func (o *Optimizer) enumFor(topo topology.Network) (*enumSet, error) {
 
 // evaluateAll costs the topology's groupings and returns the winner (ties
 // go to the candidate with fewer phases, then to enumeration order, as
-// always). The analytic backend and the compiled simulated path run the
-// memoized engine; the goroutine oracle stays a serial whole-plan loop.
-func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m int, costing Costing, hint partition.Partition) (Choice, error) {
+// always).
+func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m int, hint partition.Partition) (Choice, error) {
 	o.evals.Add(1)
 	if topo.NumDims() == 0 {
 		return Choice{Topo: topo.Name(), D: 0, Block: m, Part: nil, TimeMicro: 0, Backend: o.backend}, nil
@@ -575,44 +500,11 @@ func (o *Optimizer) evaluateAll(ctx context.Context, topo topology.Network, m in
 	if err != nil {
 		return Choice{}, err
 	}
-	if o.backend == Simulated && costing == CostingGoroutine {
-		return o.evaluateGoroutine(topo, m, es.parts)
-	}
 	return o.evaluateMemoized(ctx, topo, m, es, hint)
 }
 
-// evaluateGoroutine is the sequential whole-plan oracle: every candidate
-// runs on the simulated fabric with live goroutines and payload
-// verification, no memoization, no pruning — exactly the path the
-// compiled engine is validated against.
-func (o *Optimizer) evaluateGoroutine(topo topology.Network, m int, parts []partition.Partition) (Choice, error) {
-	net := simnet.New(topo, o.params)
-	best := Choice{Topo: topo.Name(), D: topo.NumDims(), Block: m, Backend: o.backend}
-	first := true
-	for _, D := range parts {
-		plan, err := exchange.NewPlanOn(topo, m, D)
-		if err != nil {
-			return Choice{}, err
-		}
-		res, err := plan.Simulate(net)
-		if err != nil {
-			return Choice{}, err
-		}
-		o.evaluated.Add(1)
-		t := res.Makespan
-		if first || t < best.TimeMicro || (t == best.TimeMicro && len(D) < len(best.Part)) {
-			best.Part = D
-			best.TimeMicro = t
-			first = false
-		}
-	}
-	best.Part = best.Part.Clone()
-	return best, nil
-}
-
 // evaluateMemoized is the memoized, branch-and-bound-pruned, parallel
-// enumeration engine shared by the analytic backend and the compiled
-// simulated path.
+// enumeration engine shared by both backends.
 //
 // Selection uses each candidate's phase-sum: the left-to-right sum of its
 // memoized per-phase values. On the analytic backend those values are
@@ -887,17 +779,14 @@ func (o *Optimizer) finalizeSimulated(ctx context.Context, net *simnet.Network, 
 	return res.Makespan, nil
 }
 
-// Plan returns an executable exchange plan for the optimizer's best
-// partition at (d, m).
-func (o *Optimizer) Plan(d, m int) (*exchange.Plan, error) {
-	c, err := o.Best(d, m)
+// PlanOn returns an executable exchange plan for the optimizer's best
+// grouping at (net, m).
+func (o *Optimizer) PlanOn(net topology.Network, m int) (*exchange.Plan, error) {
+	c, err := o.BestOn(net, m)
 	if err != nil {
 		return nil, err
 	}
-	if d == 0 {
-		return exchange.NewPlan(0, m, nil)
-	}
-	return exchange.NewPlan(d, m, c.Part)
+	return exchange.NewPlanOn(net, m, c.Part)
 }
 
 // Table is the precomputed optimal-partition table over a block-size
@@ -908,16 +797,6 @@ type Table struct {
 	Topo     string
 	D        int
 	Segments []model.HullSegment
-}
-
-// BuildTable sweeps block sizes [mLo, mHi] with the given step and returns
-// the hull-of-optimality table for a d-cube.
-func (o *Optimizer) BuildTable(d, mLo, mHi, step int) (Table, error) {
-	cube, err := topology.New(d)
-	if err != nil {
-		return Table{}, err
-	}
-	return o.BuildTableOn(cube, mLo, mHi, step)
 }
 
 // BuildTableOn sweeps block sizes [mLo, mHi] with the given step and
@@ -935,7 +814,7 @@ func (o *Optimizer) BuildTableOn(net topology.Network, mLo, mHi, step int) (Tabl
 // BuildTableOnCtx is BuildTableOn bounded by a context, checked between
 // sweep points: a caller that no longer needs the table (the plan
 // cache's fully-abandoned line fill) aborts the sweep after at most one
-// more Best enumeration instead of paying for the whole hull. Joiners
+// more BestOn enumeration instead of paying for the whole hull. Joiners
 // of an identical in-flight sweep share the initiator's fate — the plan
 // cache's own per-line singleflight makes that pairing one-to-one.
 func (o *Optimizer) BuildTableOnCtx(ctx context.Context, net topology.Network, mLo, mHi, step int) (Table, error) {

@@ -15,20 +15,17 @@ import (
 
 func TestBestValidation(t *testing.T) {
 	o := New(model.IPSC860())
-	if _, err := o.Best(-1, 10); err == nil {
-		t.Error("negative dim must fail")
-	}
-	if _, err := o.Best(21, 10); err == nil {
+	if _, err := o.BestOn(topology.MustNew(21), 10); err == nil {
 		t.Error("dim > 20 must fail")
 	}
-	if _, err := o.Best(5, -1); err == nil {
+	if _, err := o.BestOn(topology.MustNew(5), -1); err == nil {
 		t.Error("negative block must fail")
 	}
 }
 
 func TestBestZeroDim(t *testing.T) {
 	o := New(model.IPSC860())
-	c, err := o.Best(0, 10)
+	c, err := o.BestOn(topology.MustNew(0), 10)
 	if err != nil || c.TimeMicro != 0 || c.Part != nil {
 		t.Errorf("0-cube choice: %+v %v", c, err)
 	}
@@ -39,7 +36,7 @@ func TestBestMatchesModelBestPartition(t *testing.T) {
 	o := New(prm)
 	for _, d := range []int{3, 5, 6, 7} {
 		for _, m := range []int{1, 12, 40, 160, 400} {
-			c, err := o.Best(d, m)
+			c, err := o.BestOn(topology.MustNew(d), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,11 +54,11 @@ func TestBestMatchesModelBestPartition(t *testing.T) {
 
 func TestCacheReturnsSameChoice(t *testing.T) {
 	o := New(model.IPSC860())
-	a, err := o.Best(6, 40)
+	a, err := o.BestOn(topology.MustNew(6), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := o.Best(6, 40)
+	b, err := o.BestOn(topology.MustNew(6), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,7 @@ func TestBestConcurrent(t *testing.T) {
 	done := make(chan error, 16)
 	for i := 0; i < 16; i++ {
 		go func(m int) {
-			_, err := o.Best(7, m%5+1)
+			_, err := o.BestOn(topology.MustNew(7), m%5+1)
 			done <- err
 		}(i)
 	}
@@ -93,11 +90,11 @@ func TestSimulatedBackendAgrees(t *testing.T) {
 	oa := New(prm)
 	os := NewSimulated(prm)
 	for _, m := range []int{8, 40, 200} {
-		a, err := oa.Best(5, m)
+		a, err := oa.BestOn(topology.MustNew(5), m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := os.Best(5, m)
+		s, err := os.BestOn(topology.MustNew(5), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,37 +109,22 @@ func TestSimulatedBackendDimLimit(t *testing.T) {
 		t.Fatalf("MaxSimulatedDim = %d; the compiled costing path must accept d = 14", MaxSimulatedDim)
 	}
 	o := NewSimulated(model.IPSC860())
-	if _, err := o.Best(MaxSimulatedDim+1, 4); err == nil {
-		t.Errorf("compiled simulated backend must refuse d > %d", MaxSimulatedDim)
-	}
-	o.SetCosting(CostingGoroutine)
-	if _, err := o.Best(MaxGoroutineDim+1, 4); err == nil {
-		t.Errorf("goroutine-costed simulated backend must refuse d > %d", MaxGoroutineDim)
+	if _, err := o.BestOn(topology.MustNew(MaxSimulatedDim+1), 4); err == nil {
+		t.Errorf("simulated backend must refuse d > %d", MaxSimulatedDim)
 	}
 }
 
-// The compiled costing path must handle dimensions the goroutine path
-// never could: d = 11 exceeds the old hard cap of 10 and still matches
-// the analytic winner (the schedules are contention-free, so the two
-// backends coincide on the iPSC-860 model).
+// The compiled costing path must handle dimensions a 2^d-goroutine
+// simulation does not scale to: at d = 11 it still matches the analytic
+// winner (the schedules are contention-free, so the two backends
+// coincide on the iPSC-860 model).
 func TestSimulatedCompiledBeyondGoroutineLimit(t *testing.T) {
 	prm := model.IPSC860()
-	o := NewSimulated(prm)
-	s, err := o.Best(11, 4)
+	s, err := NewSimulated(prm).BestOn(topology.MustNew(11), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cached d > MaxGoroutineDim result stays reachable after switching
-	// to goroutine costing (the limit only gates new evaluations).
-	o.SetCosting(CostingGoroutine)
-	cached, err := o.Best(11, 4)
-	if err != nil {
-		t.Fatalf("cached d=11 result unreachable after SetCosting: %v", err)
-	}
-	if !cached.Part.Equal(s.Part) {
-		t.Errorf("cached %v != original %v", cached.Part, s.Part)
-	}
-	a, err := New(prm).Best(11, 4)
+	a, err := New(prm).BestOn(topology.MustNew(11), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +145,11 @@ func TestSimulatedBest14(t *testing.T) {
 		t.Skip("set REPRO_HEAVY=1 to run the full d=14 simulated enumeration")
 	}
 	prm := model.IPSC860()
-	s, err := NewSimulated(prm).Best(14, 4)
+	s, err := NewSimulated(prm).BestOn(topology.MustNew(14), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(prm).Best(14, 4)
+	a, err := New(prm).BestOn(topology.MustNew(14), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +158,7 @@ func TestSimulatedBest14(t *testing.T) {
 	}
 }
 
-// Concurrent Best calls on one uncached key must share a single
+// Concurrent BestOn calls on one uncached key must share a single
 // enumeration (no cache stampede).
 func TestBestStampedeDeduplicated(t *testing.T) {
 	o := NewSimulated(model.IPSC860())
@@ -188,7 +170,7 @@ func TestBestStampedeDeduplicated(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			choices[i], errs[i] = o.Best(7, 40)
+			choices[i], errs[i] = o.BestOn(topology.MustNew(7), 40)
 		}(i)
 	}
 	wg.Wait()
@@ -201,33 +183,24 @@ func TestBestStampedeDeduplicated(t *testing.T) {
 		}
 	}
 	if n := o.evals.Load(); n != 1 {
-		t.Errorf("%d concurrent Best calls ran %d evaluations, want 1", callers, n)
-	}
-}
-
-func TestCostingString(t *testing.T) {
-	if CostingCompiled.String() != "compiled" || CostingGoroutine.String() != "goroutine" {
-		t.Error("costing strings")
-	}
-	if Costing(9).String() == "" {
-		t.Error("unknown costing string")
+		t.Errorf("%d concurrent BestOn calls ran %d evaluations, want 1", callers, n)
 	}
 }
 
 func TestPlanFromChoice(t *testing.T) {
 	o := New(model.IPSC860())
-	p, err := o.Plan(6, 40)
+	p, err := o.PlanOn(topology.MustNew(6), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Dim() != 6 || p.BlockSize() != 40 {
 		t.Errorf("plan = %v", p)
 	}
-	c, _ := o.Best(6, 40)
+	c, _ := o.BestOn(topology.MustNew(6), 40)
 	if !p.Partition().Equal(c.Part) {
 		t.Error("plan partition differs from choice")
 	}
-	p0, err := o.Plan(0, 40)
+	p0, err := o.PlanOn(topology.MustNew(0), 40)
 	if err != nil || p0.Nodes() != 1 {
 		t.Errorf("0-cube plan: %v %v", p0, err)
 	}
@@ -235,7 +208,7 @@ func TestPlanFromChoice(t *testing.T) {
 
 func TestBuildTableAndLookup(t *testing.T) {
 	o := New(model.IPSC860())
-	tbl, err := o.BuildTable(6, 2, 400, 2)
+	tbl, err := o.BuildTableOn(topology.MustNew(6), 2, 400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +227,9 @@ func TestBuildTableAndLookup(t *testing.T) {
 	if tbl.Lookup(100000) == nil || tbl.Lookup(0) == nil {
 		t.Error("out-of-range lookups must clamp")
 	}
-	// Lookup must agree with Best at every swept size.
+	// Lookup must agree with BestOn at every swept size.
 	for m := 2; m <= 400; m += 26 {
-		c, _ := o.Best(6, m)
+		c, _ := o.BestOn(topology.MustNew(6), m)
 		if !tbl.Lookup(m).Equal(c.Part) {
 			t.Errorf("m=%d: table %v, best %v", m, tbl.Lookup(m), c.Part)
 		}
@@ -265,13 +238,13 @@ func TestBuildTableAndLookup(t *testing.T) {
 
 func TestBuildTableValidation(t *testing.T) {
 	o := New(model.IPSC860())
-	if _, err := o.BuildTable(5, -1, 10, 1); err == nil {
+	if _, err := o.BuildTableOn(topology.MustNew(5), -1, 10, 1); err == nil {
 		t.Error("negative range must fail")
 	}
-	if _, err := o.BuildTable(5, 10, 5, 1); err == nil {
+	if _, err := o.BuildTableOn(topology.MustNew(5), 10, 5, 1); err == nil {
 		t.Error("inverted range must fail")
 	}
-	tbl, err := o.BuildTable(5, 1, 5, 0) // step clamps to 1
+	tbl, err := o.BuildTableOn(topology.MustNew(5), 1, 5, 0) // step clamps to 1
 	if err != nil || len(tbl.Segments) == 0 {
 		t.Errorf("clamped step: %v %v", tbl, err)
 	}
@@ -356,7 +329,7 @@ func TestBestOnMixedRadixComposition(t *testing.T) {
 // counts.
 func TestBestCachesPerTopology(t *testing.T) {
 	o := New(model.Hypothetical())
-	cube, err := o.Best(4, 40)
+	cube, err := o.BestOn(topology.MustNew(4), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +344,7 @@ func TestBestCachesPerTopology(t *testing.T) {
 		t.Errorf("expected 2 enumerations, got %d", o.Evaluations())
 	}
 	// Hits on both keys.
-	if _, err := o.Best(4, 40); err != nil {
+	if _, err := o.BestOn(topology.MustNew(4), 40); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := o.BestOn(topology.MustParseSpec("torus-4x4"), 40); err != nil {
@@ -428,5 +401,50 @@ func TestSimulatedBackendOnTorus(t *testing.T) {
 	}
 	if res.Makespan != got.TimeMicro {
 		t.Errorf("BestOn %v µs, direct Cost %v µs", got.TimeMicro, res.Makespan)
+	}
+}
+
+// The simulated backend's answer is the argmin of whole-plan Plan.Cost
+// over every candidate grouping, under the documented tie rule: lowest
+// cost, then fewest phases, then enumeration order. This pins the
+// memoized, pruned, phase-sum-screened engine to the plain definition of
+// "best plan"; exchange.TestCostEqualsSimulate in turn pins Plan.Cost to
+// a live, payload-verified run on the simulated fabric.
+func TestSimulatedBestIsWholePlanArgmin(t *testing.T) {
+	nets := []topology.Network{
+		topology.MustNew(4), topology.MustNew(5), topology.MustNew(6), topology.MustNew(7),
+		topology.MustParseSpec("torus-4x4"), topology.MustParseSpec("mesh-4x4"),
+		mustOverlayOpt(t, "hypercube-6", topology.FaultSet{DeadLinks: []topology.Link{{A: 0, B: 1}}}),
+	}
+	for _, prm := range []model.Params{model.IPSC860(), model.Hypothetical()} {
+		o := NewSimulated(prm)
+		for _, net := range nets {
+			sim := simnet.New(net, prm)
+			for _, m := range []int{0, 1, 16, 40, 100, 256} {
+				got, err := o.BestOn(net, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want partition.Partition
+				wantT := math.Inf(1)
+				for _, D := range groupings(net) {
+					plan, err := exchange.NewPlanOn(net, m, D)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := plan.Cost(sim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Makespan < wantT || (res.Makespan == wantT && len(D) < len(want)) {
+						want, wantT = D, res.Makespan
+					}
+				}
+				if !got.Part.Equal(want) || got.TimeMicro != wantT {
+					t.Errorf("%s m=%d: BestOn = %v @ %v µs, whole-plan argmin = %v @ %v µs",
+						net.Name(), m, got.Part, got.TimeMicro, want, wantT)
+				}
+			}
+		}
 	}
 }

@@ -196,7 +196,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 // one of the two counters.
 func TestStatsCounters(t *testing.T) {
 	o := NewSimulated(model.IPSC860())
-	if _, err := o.Best(10, 4); err != nil {
+	if _, err := o.BestOn(topology.MustNew(10), 4); err != nil {
 		t.Fatal(err)
 	}
 	st := o.Stats()
@@ -234,13 +234,13 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 	for m := lo; m <= hi; m += step {
 		points++
 	}
-	if _, err := o.BuildTable(6, lo, hi, step); err != nil {
+	if _, err := o.BuildTableOn(topology.MustNew(6), lo, hi, step); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Evaluations(); got != points {
 		t.Errorf("first sweep ran %d enumerations, want %d", got, points)
 	}
-	if _, err := o.BuildTable(6, lo, hi, step); err != nil {
+	if _, err := o.BuildTableOn(topology.MustNew(6), lo, hi, step); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Evaluations(); got != points {
@@ -256,7 +256,7 @@ func TestBuildTableBuildsPerSweep(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = o2.BuildTable(6, lo, hi, step)
+			_, errs[i] = o2.BuildTableOn(topology.MustNew(6), lo, hi, step)
 		}(i)
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/topology"
 )
 
 // Sharded replay must be invisible to the optimizer's answers: the same
@@ -25,11 +26,11 @@ func TestReplayShardsChoiceEquivalence(t *testing.T) {
 		serial.SetExhaustive(true)
 		sharded.SetExhaustive(true)
 
-		sc, err := serial.Best(tc.d, tc.m)
+		sc, err := serial.BestOn(topology.MustNew(tc.d), tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hc, err := sharded.Best(tc.d, tc.m)
+		hc, err := sharded.BestOn(topology.MustNew(tc.d), tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +75,11 @@ func TestSimulatedBest18(t *testing.T) {
 	prm := model.IPSC860()
 	o := NewSimulated(prm)
 	o.SetReplayShards(runtime.GOMAXPROCS(0))
-	s, err := o.Best(18, 1)
+	s, err := o.BestOn(topology.MustNew(18), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(prm).Best(18, 1)
+	a, err := New(prm).BestOn(topology.MustNew(18), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

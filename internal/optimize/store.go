@@ -57,8 +57,13 @@ func paramsKey(p model.Params) machineParams {
 }
 
 // SaveTable writes the table as JSON, tagged with the machine parameters
-// it was computed against.
+// it was computed against. The stored format records only a cube
+// dimension, so a table for any topology other than hypercube-<D> is
+// rejected rather than written as if it were one.
 func SaveTable(w io.Writer, t Table, prm model.Params) error {
+	if t.Topo != cubeName(t.D) {
+		return fmt.Errorf("optimize: only hypercube tables can be stored, got %q (d=%d)", t.Topo, t.D)
+	}
 	st := storedTable{Version: 1, D: t.D, Machine: paramsKey(prm)}
 	for _, seg := range t.Segments {
 		st.Segments = append(st.Segments, storedSegment{
@@ -86,7 +91,10 @@ func LoadTable(r io.Reader, prm model.Params) (Table, error) {
 	if st.Machine != paramsKey(prm) {
 		return Table{}, fmt.Errorf("optimize: table computed for different machine parameters")
 	}
-	t := Table{D: st.D}
+	if st.D < 0 || st.D > maxStoredDim {
+		return Table{}, fmt.Errorf("optimize: stored dimension %d out of range [0,%d]", st.D, maxStoredDim)
+	}
+	t := Table{Topo: cubeName(st.D), D: st.D}
 	for _, seg := range st.Segments {
 		D := partition.Partition(append([]int(nil), seg.Partition...))
 		if !D.Canonical().IsValid(st.D) {
@@ -104,6 +112,13 @@ func LoadTable(r io.Reader, prm model.Params) (Table, error) {
 	}
 	return t, nil
 }
+
+// maxStoredDim bounds the cube dimension a stored table may claim: the
+// enumeration limit of BestOn (2^20 nodes).
+const maxStoredDim = 20
+
+// cubeName is the registry name of the d-cube a stored table is for.
+func cubeName(d int) string { return fmt.Sprintf("hypercube-%d", d) }
 
 // SaveTableFile writes the table to a file path.
 func SaveTableFile(path string, t Table, prm model.Params) error {

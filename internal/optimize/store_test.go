@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/topology"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(6, 0, 400, 8)
+	tbl, err := o.BuildTableOn(topology.MustNew(6), 0, 400, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,28 +27,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.D != tbl.D || len(got.Segments) != len(tbl.Segments) {
-		t.Fatalf("round trip shape: %+v vs %+v", got, tbl)
+	if !reflect.DeepEqual(got, tbl) {
+		t.Fatalf("round trip changed the table:\n got %+v\nwant %+v", got, tbl)
 	}
-	for i := range tbl.Segments {
-		if !got.Segments[i].Part.Equal(tbl.Segments[i].Part) ||
-			got.Segments[i].MinBlock != tbl.Segments[i].MinBlock ||
-			got.Segments[i].MaxBlock != tbl.Segments[i].MaxBlock {
-			t.Errorf("segment %d differs: %+v vs %+v", i, got.Segments[i], tbl.Segments[i])
-		}
+}
+
+// The stored format records only a cube dimension, so a torus or mesh
+// table must be refused instead of being written as a hypercube one.
+func TestSaveRejectsNonHypercubeTable(t *testing.T) {
+	prm := model.IPSC860()
+	tbl, err := New(prm).BuildTableOn(topology.MustParseSpec("torus-4x4"), 0, 64, 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Lookups must agree.
-	for m := 0; m <= 400; m += 40 {
-		if !got.Lookup(m).Equal(tbl.Lookup(m)) {
-			t.Errorf("m=%d: %v vs %v", m, got.Lookup(m), tbl.Lookup(m))
-		}
+	var buf bytes.Buffer
+	if err := SaveTable(&buf, tbl, prm); err == nil || !strings.Contains(err.Error(), "torus-4x4") {
+		t.Errorf("saving a torus table: %v, want a rejection naming the topology", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a rejected table must write nothing, wrote %q", buf.String())
 	}
 }
 
 func TestLoadRejectsWrongMachine(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(5, 0, 100, 10)
+	tbl, err := o.BuildTableOn(topology.MustNew(5), 0, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +89,21 @@ func TestLoadRejectsInvalidSegments(t *testing.T) {
 	if _, err := LoadTable(strings.NewReader(bad2), prm); err == nil {
 		t.Error("inverted range must be rejected")
 	}
+	// A stored dimension outside the enumeration limit, even with no
+	// segments to contradict it.
+	for _, d := range []string{`-1`, `21`, `100000000`} {
+		bad3 := strings.Replace(bad, `"d":5`, `"d":`+d, 1)
+		bad3 = bad3[:strings.Index(bad3, `"segments"`)] + `"segments":[]}`
+		if _, err := LoadTable(strings.NewReader(bad3), prm); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("stored d=%s: %v, want an out-of-range rejection", d, err)
+		}
+	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	prm := model.IPSC860()
 	o := New(prm)
-	tbl, err := o.BuildTable(5, 0, 200, 10)
+	tbl, err := o.BuildTableOn(topology.MustNew(5), 0, 200, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/partition"
+	"repro/internal/topology"
 )
 
 // tableFixture is a hand-built three-segment table:
@@ -99,11 +100,11 @@ func TestTableBounds(t *testing.T) {
 }
 
 // TestBuiltTableLookupMatchesBest pins the property the plan cache leans
-// on: inside a step-1 table's range, Lookup answers exactly what Best
+// on: inside a step-1 table's range, Lookup answers exactly what BestOn
 // would, for every block size (not just swept grid points).
 func TestBuiltTableLookupMatchesBest(t *testing.T) {
 	o := New(model.IPSC860())
-	tbl, err := o.BuildTable(6, 0, 300, 1)
+	tbl, err := o.BuildTableOn(topology.MustNew(6), 0, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestBuiltTableLookupMatchesBest(t *testing.T) {
 		t.Fatalf("Bounds = (%d,%d,%v), want (0,300,true)", lo, hi, ok)
 	}
 	for m := 0; m <= 300; m += 7 {
-		c, err := o.Best(6, m)
+		c, err := o.BestOn(topology.MustNew(6), m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := tbl.Lookup(m); !got.Equal(c.Part) {
-			t.Errorf("m=%d: table %v, Best %v", m, got, c.Part)
+			t.Errorf("m=%d: table %v, BestOn %v", m, got, c.Part)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 			return &ld, nil
 		},
 	})
-	p, err := c.Get("ipsc860", 4, 32)
+	p, err := c.GetOn("ipsc860", "hypercube-4", 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFetchHookFillsMissWithoutBuilding(t *testing.T) {
 			fetches.Load(), s.PeerImports, s.Builds)
 	}
 	// A resident line never consults the hook again.
-	if _, err := c.Get("ipsc860", 4, 64); err != nil {
+	if _, err := c.GetOn("ipsc860", "hypercube-4", 64); err != nil {
 		t.Fatal(err)
 	}
 	if fetches.Load() != 1 {
@@ -71,7 +71,7 @@ func TestFetchFailureFallsBackToLocalBuild(t *testing.T) {
 			return nil, errors.New("owner unreachable")
 		},
 	})
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetOn("ipsc860", "hypercube-4", 32); err != nil {
 		t.Fatalf("failed fetch was not recovered by a local build: %v", err)
 	}
 	s := c.Stats()
@@ -88,7 +88,7 @@ func TestFetchInvalidPayloadFallsBackToLocalBuild(t *testing.T) {
 			return &ld, nil
 		},
 	})
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetOn("ipsc860", "hypercube-4", 32); err != nil {
 		t.Fatalf("invalid peer payload was not recovered by a local build: %v", err)
 	}
 	if s := c.Stats(); s.Builds != 1 || s.PeerImports != 0 {
@@ -117,7 +117,7 @@ func TestCancelledFillDoesNotPoisonKey(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(ctx, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetFor(ctx, "ipsc860", mustCube(t, 5), 32)
 		errc <- err
 	}()
 	<-release
@@ -129,7 +129,7 @@ func TestCancelledFillDoesNotPoisonKey(t *testing.T) {
 	// The key must not be poisoned: a fresh caller succeeds.
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Get("ipsc860", 5, 32)
+		_, err := c.GetOn("ipsc860", "hypercube-5", 32)
 		done <- err
 	}()
 	select {
@@ -166,14 +166,14 @@ func TestJoinerSurvivesInitiatorCancel(t *testing.T) {
 	initiatorCtx, cancelInitiator := context.WithCancel(context.Background())
 	initiatorErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(initiatorCtx, "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetFor(initiatorCtx, "ipsc860", mustCube(t, 5), 32)
 		initiatorErr <- err
 	}()
 	<-inFetch
 
 	joinerErr := make(chan error, 1)
 	go func() {
-		_, err := c.GetForCtx(context.Background(), "ipsc860", mustCube(t, 5), 32)
+		_, err := c.GetFor(context.Background(), "ipsc860", mustCube(t, 5), 32)
 		joinerErr <- err
 	}()
 	// Give the joiner a moment to join the in-progress flight, then
@@ -193,7 +193,7 @@ func TestShedBeyondBuildBound(t *testing.T) {
 	c := New(Config{MaxConcurrentBuilds: 1})
 	// Occupy the single build slot as a stuck build would.
 	c.buildSem <- struct{}{}
-	_, err := c.Get("ipsc860", 4, 32)
+	_, err := c.GetOn("ipsc860", "hypercube-4", 32)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("miss beyond the build bound: %v, want ErrOverloaded", err)
 	}
@@ -202,7 +202,7 @@ func TestShedBeyondBuildBound(t *testing.T) {
 	}
 	// Slot frees: the same miss now builds.
 	<-c.buildSem
-	if _, err := c.Get("ipsc860", 4, 32); err != nil {
+	if _, err := c.GetOn("ipsc860", "hypercube-4", 32); err != nil {
 		t.Fatalf("miss after the slot freed: %v", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestInvalidateWarmGetChurn(t *testing.T) {
 				default:
 				}
 				net := nets[(i+w)%len(nets)]
-				if _, err := c.GetFor("ipsc860", net, 16); err != nil {
+				if _, err := c.GetFor(context.Background(), "ipsc860", net, 16); err != nil {
 					t.Errorf("GetFor under churn: %v", err)
 					return
 				}
@@ -243,7 +243,7 @@ func TestInvalidateWarmGetChurn(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.WarmFor("ipsc860", nets[i%len(nets)]); err != nil {
+			if _, err := c.WarmFor(context.Background(), "ipsc860", nets[i%len(nets)]); err != nil {
 				t.Errorf("WarmFor under churn: %v", err)
 				return
 			}

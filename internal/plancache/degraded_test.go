@@ -2,6 +2,7 @@ package plancache
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestDegradedLineKeyedSeparately(t *testing.T) {
 	slow := overlayPC(t, "torus-4x4", topology.FaultSet{
 		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 4}},
 	})
-	deg, err := c.GetFor("ipsc860", slow, 32)
+	deg, err := c.GetFor(context.Background(), "ipsc860", slow, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestDegradedLineKeyedSeparately(t *testing.T) {
 	}
 	// A zero-fault overlay hits the bare line: same key, no third build.
 	clean := overlayPC(t, "torus-4x4", topology.FaultSet{})
-	same, err := c.GetFor("ipsc860", clean, 32)
+	same, err := c.GetFor(context.Background(), "ipsc860", clean, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +68,14 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 	dead := overlayPC(t, "torus-4x4", topology.FaultSet{
 		DeadLinks: []topology.Link{{A: 0, B: 1}},
 	})
-	built, err := c.WarmFor("ipsc860", dead)
+	built, err := c.WarmFor(context.Background(), "ipsc860", dead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !built {
 		t.Fatal("WarmFor on a cold cache did not build")
 	}
-	if built, err = c.WarmFor("ipsc860", dead); err != nil || built {
+	if built, err = c.WarmFor(context.Background(), "ipsc860", dead); err != nil || built {
 		t.Fatalf("second WarmFor = (%v, %v), want resident hit", built, err)
 	}
 	if _, err := c.WarmOn("ipsc860", "torus-4x4"); err != nil {
@@ -98,7 +99,7 @@ func TestWarmForAndInvalidateWhere(t *testing.T) {
 		t.Fatalf("bare line gone after degraded invalidation: %v", err)
 	}
 	hitsBefore := c.Stats().Builds
-	if built, err = c.WarmFor("ipsc860", dead); err != nil || !built {
+	if built, err = c.WarmFor(context.Background(), "ipsc860", dead); err != nil || !built {
 		t.Fatalf("WarmFor after invalidation = (%v, %v), want a rebuild", built, err)
 	}
 	if c.Stats().Builds != hitsBefore+1 {
@@ -119,7 +120,7 @@ func TestSnapshotSkipsDegradedLines(t *testing.T) {
 	slow := overlayPC(t, "torus-4x4", topology.FaultSet{
 		SlowLinks: []topology.SlowLink{{Link: topology.Link{A: 0, B: 1}, Factor: 2}},
 	})
-	if _, err := c.WarmFor("ipsc860", slow); err != nil {
+	if _, err := c.WarmFor(context.Background(), "ipsc860", slow); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -1,12 +1,12 @@
 // Package plancache is a sharded, concurrency-safe cache of optimal
-// exchange plans keyed by (machine, dimension, block size) — the serving
+// exchange plans keyed by (machine, topology, block size) — the serving
 // tier the paper's §6 observation calls for: the partition enumeration
 // "needs to be done only once and the optimal combination stored for
 // repeated future use".
 //
 // The cache does not store one entry per block size. A cache line holds
-// the hull-of-optimality table for one (machine, d) pair — built once via
-// optimize.BuildTable — and every block size resolves through
+// the hull-of-optimality table for one (machine, topology) pair — built
+// once via optimize.BuildTableOn — and every block size resolves through
 // Table.LookupSegment to one of its O(hull) segments, so millions of
 // distinct m values collapse onto a handful of cached partitions. The
 // per-request cost for a resident line is a binary search plus the
@@ -14,9 +14,9 @@
 //
 // Concurrency: lines live in fixed shards (mutex + LRU list each); a
 // missing line is built exactly once per cache — concurrent requests for
-// the same (machine, d) wait on a single in-flight build, and the build's
-// Best sweeps ride optimize.Optimizer's own singleflight underneath.
-// Capacity is bounded per shard with least-recently-used eviction, and
+// the same (machine, topology) wait on a single in-flight build, and the
+// build's BestOn sweeps ride optimize.Optimizer's own singleflight
+// underneath. Capacity is bounded per shard with least-recently-used eviction, and
 // hit/miss/evict/inflight counters expose the cache's behaviour to the
 // service layer's /metrics.
 //
@@ -324,9 +324,9 @@ func ResolveTopology(spec string) (topology.Network, error) {
 const MaxMixedRadixDims = 12
 
 // checkServable enforces the enumeration-cost bounds on every request
-// path — including the dimension-based Get, which never goes through a
-// spec string — so an oversized topology is always a caller error,
-// never a BuildError-classified (500-mapped) hull failure.
+// path — including resolved topologies that never went through a spec
+// string — so an oversized topology is always a caller error, never a
+// BuildError-classified (500-mapped) hull failure.
 func checkServable(net topology.Network) error {
 	if net.Nodes() > MaxTopologyNodes {
 		return fmt.Errorf("plancache: %s exceeds the serving limit of %d nodes",
@@ -349,9 +349,6 @@ func checkServable(net topology.Network) error {
 	}
 	return nil
 }
-
-// hypercubeSpec names the d-cube line the dimension-based API uses.
-func hypercubeSpec(d int) string { return fmt.Sprintf("hypercube-%d", d) }
 
 // optimizer returns (creating once) the per-machine optimizer.
 func (c *Cache) optimizer(name string, p model.Params) *optimize.Optimizer {
@@ -385,21 +382,6 @@ func (c *Cache) OptimizerStats() optimize.Stats {
 	return sum
 }
 
-// Get answers one (machine, d, m) hypercube query with the full plan
-// detail. This is the serving hot path: the shared hypercube instance
-// resolves without parsing or allocation.
-func (c *Cache) Get(machine string, d, m int) (Plan, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return Plan{}, err
-	}
-	net, err := topology.New(d)
-	if err != nil {
-		return Plan{}, err
-	}
-	return c.getOn(context.Background(), name, prm, net, m)
-}
-
 // GetOn answers one (machine, topology, m) query with the full plan
 // detail; topo is a topology registry spec such as "torus-4x4x4".
 func (c *Cache) GetOn(machine, topo string, m int) (Plan, error) {
@@ -407,135 +389,85 @@ func (c *Cache) GetOn(machine, topo string, m int) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return c.GetFor(machine, net, m)
+	return c.GetFor(context.Background(), machine, net, m)
 }
 
 // GetFor is GetOn with an already-resolved topology — the form the
-// service layer uses so a request's spec is parsed exactly once.
-func (c *Cache) GetFor(machine string, net topology.Network, m int) (Plan, error) {
-	return c.GetForCtx(context.Background(), machine, net, m)
-}
-
-// GetForCtx is GetFor bounded by a request context: when ctx ends the
-// caller returns ctx.Err() immediately while any in-flight line fill it
-// initiated or joined continues for its remaining waiters (and is
-// cancelled only when fully abandoned). The serving tier passes each
-// request's context here so a disconnected client stops paying for a
-// hull build it will never read.
-func (c *Cache) GetForCtx(ctx context.Context, machine string, net topology.Network, m int) (Plan, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return Plan{}, err
-	}
-	return c.getOn(ctx, name, prm, net, m)
-}
-
-func (c *Cache) getOn(ctx context.Context, name string, prm model.Params, net topology.Network, m int) (Plan, error) {
-	if err := checkServable(net); err != nil {
-		return Plan{}, err
-	}
+// service layer uses so a request's spec is parsed exactly once — bounded
+// by a request context: when ctx ends the caller returns ctx.Err()
+// immediately while any in-flight line fill it initiated or joined
+// continues for its remaining waiters (and is cancelled only when fully
+// abandoned), so a disconnected client stops paying for a hull build it
+// will never read.
+func (c *Cache) GetFor(ctx context.Context, machine string, net topology.Network, m int) (Plan, error) {
 	if m < 0 {
 		return Plan{}, fmt.Errorf("plancache: negative block size %d", m)
 	}
-	ln, _, err := c.lineFor(ctx, name, prm, net)
+	name, prm, ln, _, err := c.resolveLine(ctx, machine, net)
 	if err != nil {
 		return Plan{}, err
 	}
 	return c.answer(name, prm, ln, m)
 }
 
-// Lookup is the fast path: the optimal partition for (machine, d, m) on
-// a d-cube with no per-request breakdown. The returned slice is shared
+// LookupFor is the fast path: the optimal partition for (machine, net,
+// m) with no per-request breakdown — the form core.System uses so its
+// own topology handle is never re-parsed. The returned slice is shared
 // with the cache line and must be treated as read-only.
-func (c *Cache) Lookup(machine string, d, m int) (partition.Partition, error) {
-	return c.LookupOn(machine, hypercubeSpec(d), m)
-}
-
-// LookupOn is Lookup for any topology registry spec.
-func (c *Cache) LookupOn(machine, topo string, m int) (partition.Partition, error) {
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return nil, err
-	}
-	return c.LookupFor(machine, net, m)
-}
-
-// LookupFor is LookupOn with an already-resolved topology — the form
-// core.System uses so its own topology handle is never re-parsed.
 func (c *Cache) LookupFor(machine string, net topology.Network, m int) (partition.Partition, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkServable(net); err != nil {
-		return nil, err
-	}
 	if m < 0 {
 		return nil, fmt.Errorf("plancache: negative block size %d", m)
 	}
-	ln, _, err := c.lineFor(context.Background(), name, prm, net)
+	_, _, ln, _, err := c.resolveLine(context.Background(), machine, net)
 	if err != nil {
 		return nil, err
 	}
 	return ln.table.Lookup(m), nil
 }
 
-// Hull returns the resident hull table for (machine, d) on a d-cube,
-// building the line if needed.
-func (c *Cache) Hull(machine string, d int) (optimize.Table, error) {
-	return c.HullOn(machine, hypercubeSpec(d))
-}
-
-// HullOn is Hull for any topology registry spec.
-func (c *Cache) HullOn(machine, topo string) (optimize.Table, error) {
-	net, err := ResolveTopology(topo)
-	if err != nil {
-		return optimize.Table{}, err
-	}
-	return c.HullFor(machine, net)
-}
-
-// HullFor is HullOn with an already-resolved topology.
-func (c *Cache) HullFor(machine string, net topology.Network) (optimize.Table, error) {
-	return c.HullForCtx(context.Background(), machine, net)
-}
-
-// HullForCtx is HullFor bounded by a request context (see GetForCtx).
-func (c *Cache) HullForCtx(ctx context.Context, machine string, net topology.Network) (optimize.Table, error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return optimize.Table{}, err
-	}
-	if err := checkServable(net); err != nil {
-		return optimize.Table{}, err
-	}
-	ln, _, err := c.lineFor(ctx, name, prm, net)
+// HullFor returns the resident hull table for (machine, net), building
+// the line if needed; ctx bounds the wait as in GetFor.
+func (c *Cache) HullFor(ctx context.Context, machine string, net topology.Network) (optimize.Table, error) {
+	_, _, ln, _, err := c.resolveLine(ctx, machine, net)
 	if err != nil {
 		return optimize.Table{}, err
 	}
 	return ln.table, nil
 }
 
-// Warm pre-builds the line for (machine, d) on a d-cube, so the first
-// query pays no enumeration. It reports whether a build actually ran
-// (false when the line was already resident or another caller's build
-// was joined).
-func (c *Cache) Warm(machine string, d int) (built bool, err error) {
-	return c.WarmOn(machine, hypercubeSpec(d))
-}
-
-// WarmOn is Warm for any topology registry spec.
+// WarmOn pre-builds the line for (machine, topology registry spec), so
+// the first query pays no enumeration. It reports whether a build
+// actually ran (false when the line was already resident or another
+// caller's build was joined).
 func (c *Cache) WarmOn(machine, topo string) (built bool, err error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return false, err
-	}
 	net, err := ResolveTopology(topo)
 	if err != nil {
 		return false, err
 	}
-	_, built, err = c.lineFor(context.Background(), name, prm, net)
+	return c.WarmFor(context.Background(), machine, net)
+}
+
+// WarmFor is WarmOn with an already-resolved topology — the form the
+// service layer's fault paths use, where the network is a degraded
+// overlay rather than a registry spec, and the peer-serving endpoint
+// uses to build a line it owns on demand. ctx bounds the wait as in
+// GetFor.
+func (c *Cache) WarmFor(ctx context.Context, machine string, net topology.Network) (built bool, err error) {
+	_, _, _, built, err = c.resolveLine(ctx, machine, net)
 	return built, err
+}
+
+// resolveLine resolves the machine name, enforces the serving bounds on net,
+// and returns the (possibly freshly filled) line for the pair.
+func (c *Cache) resolveLine(ctx context.Context, machine string, net topology.Network) (name string, prm model.Params, ln *line, built bool, err error) {
+	if name, prm, err = c.resolve(machine); err != nil {
+		return "", model.Params{}, nil, false, err
+	}
+	if err = checkServable(net); err != nil {
+		return "", model.Params{}, nil, false, err
+	}
+	ln, built, err = c.lineFor(ctx, name, prm, net)
+	return name, prm, ln, built, err
 }
 
 // answer resolves m through a resident line.
@@ -814,27 +746,6 @@ func (c *Cache) insertLocked(sh *shard, ln *line) {
 		delete(sh.lines, victim.key)
 		c.evictions.Add(1)
 	}
-}
-
-// WarmFor is WarmOn with an already-resolved topology — the form the
-// service layer's fault paths use, where the network is a degraded
-// overlay it has already built rather than a registry spec.
-func (c *Cache) WarmFor(machine string, net topology.Network) (built bool, err error) {
-	return c.WarmForCtx(context.Background(), machine, net)
-}
-
-// WarmForCtx is WarmFor bounded by a request context (see GetForCtx).
-// The peer-serving endpoint uses it to build a line it owns on demand.
-func (c *Cache) WarmForCtx(ctx context.Context, machine string, net topology.Network) (built bool, err error) {
-	name, prm, err := c.resolve(machine)
-	if err != nil {
-		return false, err
-	}
-	if err := checkServable(net); err != nil {
-		return false, err
-	}
-	_, built, err = c.lineFor(ctx, name, prm, net)
-	return built, err
 }
 
 // InvalidateWhere drops every resident line whose (machine, topology

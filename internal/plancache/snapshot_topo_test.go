@@ -53,7 +53,7 @@ func TestTorusLineSnapshotRoundTrip(t *testing.T) {
 	if want.Topo != "torus-3x3" || want.D != 2 {
 		t.Fatalf("unexpected plan: %+v", want)
 	}
-	if _, err := src.Get("hypo", 4, 24); err != nil {
+	if _, err := src.GetOn("hypo", "hypercube-4", 24); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +146,7 @@ func TestBadTopologySpecIsRequestError(t *testing.T) {
 }
 
 // Unequal-radix topologies with many dimensions enumerate 2^(k−1)
-// compositions per Best call; the serving tier must refuse them at
+// compositions per BestOn call; the serving tier must refuse them at
 // request validation rather than scheduling an exponential hull build.
 func TestMixedRadixDimensionBound(t *testing.T) {
 	c := New(Config{})

@@ -116,7 +116,7 @@ func TestPeerLineBuildsOnDemandAndServes(t *testing.T) {
 
 func TestPeerSnapshotServesResidentLines(t *testing.T) {
 	cache := plancache.New(plancache.Config{})
-	if _, err := cache.Warm("ipsc860", 3); err != nil {
+	if _, err := cache.WarmOn("ipsc860", "hypercube-3"); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Cache: cache})

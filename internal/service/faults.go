@@ -233,7 +233,7 @@ func (s *Server) planFor(ctx context.Context, machine string, base topology.Netw
 	if err != nil {
 		return plancache.Plan{}, "", false, err
 	}
-	p, err = s.cache.GetForCtx(ctx, machine, net, m)
+	p, err = s.cache.GetFor(ctx, machine, net, m)
 	if err == nil {
 		return p, digest, false, nil
 	}
@@ -247,7 +247,7 @@ func (s *Server) planFor(ctx context.Context, machine string, base topology.Netw
 		// rebuild on an answer nobody is waiting for.
 		return plancache.Plan{}, "", false, err
 	}
-	lkg, lerr := s.cache.GetForCtx(ctx, machine, base, m)
+	lkg, lerr := s.cache.GetFor(ctx, machine, base, m)
 	if lerr != nil {
 		return plancache.Plan{}, "", false, err
 	}
@@ -295,7 +295,7 @@ func (s *Server) rebuild(key, machine string, base topology.Network) {
 			// line is the right answer again.
 			return
 		}
-		if _, err := s.cache.WarmFor(machine, net); err != nil {
+		if _, err := s.cache.WarmFor(context.Background(), machine, net); err != nil {
 			lastErr = err
 			continue
 		}

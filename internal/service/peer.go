@@ -45,7 +45,7 @@ func (s *Server) handlePeerLine(w http.ResponseWriter, r *http.Request) int {
 	if ld, ok := s.cache.ExportLine(name, net.Name()); ok {
 		return writeJSON(w, http.StatusOK, ld)
 	}
-	if _, err := s.cache.WarmForCtx(context.WithoutCancel(r.Context()), name, net); err != nil {
+	if _, err := s.cache.WarmFor(context.WithoutCancel(r.Context()), name, net); err != nil {
 		return s.writeCacheError(w, r, err)
 	}
 	ld, ok := s.cache.ExportLine(name, net.Name())

@@ -66,7 +66,7 @@ type Config struct {
 	// PlanMaxDim bounds the dimension /v1/plan, /v1/hull and /v1/batch
 	// accept (default 20, the optimizer's own limit). A daemon whose
 	// cache costs hull sweeps by simulation must set this near
-	// CostMaxDim: one cache miss runs a full sweep of Best calls, each
+	// CostMaxDim: one cache miss runs a full sweep of BestOn calls, each
 	// hundreds of times the work of a single /v1/cost.
 	PlanMaxDim int
 	// RebuildAttempts bounds the background retry loop that rebuilds a
@@ -108,7 +108,7 @@ func (c Config) withDefaults() Config {
 		c.CostMaxDim = optimize.MaxSimulatedDim
 	}
 	if c.PlanMaxDim <= 0 || c.PlanMaxDim > 20 {
-		c.PlanMaxDim = 20 // optimize.Best's own dimension bound
+		c.PlanMaxDim = 20 // optimize.BestOn's own 2^20-node bound
 	}
 	if c.RebuildAttempts <= 0 {
 		c.RebuildAttempts = 4
@@ -594,7 +594,7 @@ func (s *Server) handleHull(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, err.Error())
 	}
-	tbl, err := s.cache.HullForCtx(r.Context(), name, net)
+	tbl, err := s.cache.HullFor(r.Context(), name, net)
 	if err != nil {
 		return s.writeCacheError(w, r, err)
 	}

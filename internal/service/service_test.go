@@ -77,7 +77,7 @@ func TestPlanEndpointMatchesOptimizer(t *testing.T) {
 	for _, m := range []int{0, 40, 160, 400} {
 		var got PlanResponse
 		getJSON(t, fmt.Sprintf("%s/v1/plan?machine=ipsc860&d=7&m=%d", ts.URL, m), http.StatusOK, &got)
-		want, err := ref.Best(7, m)
+		want, err := ref.BestOn(topology.MustNew(7), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestCostEndpointMatchesCompiledTrace(t *testing.T) {
 		CostRequest{Machine: "ipsc860", D: 7, M: 40, Partition: []int{3, 4}},
 		http.StatusOK, &got)
 
-	plan, err := exchange.NewPlan(7, 40, partition.Partition{3, 4})
+	plan, err := exchange.NewPlanOn(topology.MustNew(7), 40, partition.Partition{3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestBatchEndpoint(t *testing.T) {
 		if item.Error != "" || item.Plan == nil {
 			t.Fatalf("query %d failed: %s", i, item.Error)
 		}
-		want, err := ref.Best(6, i*8)
+		want, err := ref.BestOn(topology.MustNew(6), i*8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 
 func tracedRun(t *testing.T, d, m int, D partition.Partition) simnet.Result {
 	t.Helper()
-	plan, err := exchange.NewPlan(d, m, D)
+	plan, err := exchange.NewPlanOn(topology.MustNew(d), m, D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTimelineRecorded(t *testing.T) {
 }
 
 func TestTraceOffByDefault(t *testing.T) {
-	plan, _ := exchange.NewPlan(2, 8, partition.Partition{2})
+	plan, _ := exchange.NewPlanOn(topology.MustNew(2), 8, partition.Partition{2})
 	net := simnet.New(topology.MustNew(2), model.IPSC860())
 	res, err := plan.Simulate(net)
 	if err != nil {
