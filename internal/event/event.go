@@ -1,50 +1,71 @@
 // Package event provides a deterministic discrete-event simulation engine:
 // a virtual clock in microseconds and a priority queue of timestamped
-// callbacks. The circuit-switched network simulator (package simnet) and
-// its clients are built on it.
+// events. The circuit-switched network simulator (package simnet) and its
+// clients are built on it.
 //
-// Events are fire-and-forget: Post and PostArg schedule a callback and
-// return nothing, and the engine recycles each event after it fires, so
-// a warm engine schedules without allocating.
+// Handlers live outside the queue. A long-lived ArgHandler is registered
+// once with Handle, which returns its Kind; PostArg then schedules
+// (time, Kind, arg) and fires handler(now, arg). Post schedules a one-off
+// closure instead: the engine parks it in an index-addressed slot table
+// and queues the slot index, reusing the slot once the closure fires.
 //
-// Determinism: events at equal times fire in scheduling order (FIFO among
-// ties), so repeated runs of the same program produce identical traces.
+// The queue itself is a 4-ary min-heap of value events, each
+// {time, seq, arg, kind} in 32 bytes with no pointer fields, so queue
+// moves involve no interface dispatch and no GC write barriers. Sift-up
+// and sift-down carry a hole down or up the tree and store the moving
+// event once, instead of swapping at every level. Events are
+// fire-and-forget: nothing is returned to cancel, and a warm engine
+// schedules without allocating.
+//
+// Determinism: events fire in (time, seq) order, where seq is the
+// scheduling order, so ties fire FIFO and repeated runs of the same
+// program produce identical traces.
 package event
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Time is virtual simulation time in microseconds.
 type Time float64
 
-// Handler is a callback fired when an event matures.
+// Handler is a one-off callback fired when an event matures.
 type Handler func(now Time)
 
 // ArgHandler is a callback fired with the integer argument it was
-// scheduled with. Passing one long-lived ArgHandler to many PostArg calls
-// avoids the per-event closure allocation a plain Handler would need to
-// capture its argument.
+// scheduled with. Registered once with Handle, it serves any number of
+// PostArg calls without a per-event closure.
 type ArgHandler func(now Time, arg int)
 
-// event is one scheduled callback; exactly one of handler and argh is set.
+// Kind names a handler registered with Engine.Handle. The zero Kind is
+// never returned by Handle, so an unset Kind is rejected by PostArg.
+type Kind uint32
+
+// slotKind marks a queued Post: arg indexes the engine's slot table.
+const slotKind Kind = 0
+
+// event is one queued firing. It holds no pointers: the handler is found
+// through kind (and, for Post, the slot table at arg).
 type event struct {
-	time    Time
-	seq     uint64
-	handler Handler
-	argh    ArgHandler
-	arg     int
+	time Time
+	seq  uint64
+	arg  int
+	kind Kind
+}
+
+// before reports whether a fires before b: earlier time, then earlier
+// scheduling order. seq is unique, so the order is total.
+func (a *event) before(b *event) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
 // Engine is a discrete-event scheduler.
 type Engine struct {
 	now    Time
 	seq    uint64
-	queue  eventHeap
 	nsteps uint64
-	free   []*event // fired events, reused by Post/PostArg
+	queue  []event      // 4-ary min-heap by (time, seq)
+	kinds  []ArgHandler // Kind k dispatches to kinds[k-1]
+	slots  []Handler    // closures parked by Post, indexed by event.arg
+	free   []int32      // vacant slot indices, reused LIFO
 }
 
 // New returns an engine with the clock at zero.
@@ -59,6 +80,16 @@ func (g *Engine) Steps() uint64 { return g.nsteps }
 // Pending returns the number of queued events.
 func (g *Engine) Pending() int { return len(g.queue) }
 
+// Handle registers h and returns the Kind that PostArg schedules it by.
+// A nil handler panics.
+func (g *Engine) Handle(h ArgHandler) Kind {
+	if h == nil {
+		panic("event: nil handler")
+	}
+	g.kinds = append(g.kinds, h)
+	return Kind(len(g.kinds))
+}
+
 // Post schedules h to fire at absolute time t. Scheduling in the past
 // (t < Now) or with a nil handler panics: either indicates a logic error
 // in the caller.
@@ -66,40 +97,34 @@ func (g *Engine) Post(t Time, h Handler) {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	e := g.newEvent(t)
-	e.handler = h
-	heap.Push(&g.queue, e)
-}
-
-// PostArg schedules h(now, arg) to fire at absolute time t (see Post).
-// The handler is stored as passed, so reusing one bound ArgHandler across
-// calls makes scheduling allocation-free.
-func (g *Engine) PostArg(t Time, h ArgHandler, arg int) {
-	if h == nil {
-		panic("event: nil handler")
+	g.checkTime(t)
+	var s int32
+	if n := len(g.free); n > 0 {
+		s = g.free[n-1]
+		g.free = g.free[:n-1]
+		g.slots[s] = h
+	} else {
+		s = int32(len(g.slots))
+		g.slots = append(g.slots, h)
 	}
-	e := g.newEvent(t)
-	e.argh = h
-	e.arg = arg
-	heap.Push(&g.queue, e)
+	g.push(event{time: t, arg: int(s), kind: slotKind})
 }
 
-// newEvent returns a recycled (or new) event stamped for time t.
-func (g *Engine) newEvent(t Time) *event {
+// PostArg schedules the handler registered as k to fire with arg at
+// absolute time t (see Post). A Kind this engine's Handle did not return
+// panics.
+func (g *Engine) PostArg(t Time, k Kind, arg int) {
+	if k == slotKind || int(k) > len(g.kinds) {
+		panic(fmt.Sprintf("event: unknown kind %d", k))
+	}
+	g.checkTime(t)
+	g.push(event{time: t, arg: arg, kind: k})
+}
+
+func (g *Engine) checkTime(t Time) {
 	if t < g.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, g.now))
 	}
-	var e *event
-	if n := len(g.free); n > 0 {
-		e = g.free[n-1]
-		g.free[n-1] = nil
-		g.free = g.free[:n-1]
-	} else {
-		e = &event{}
-	}
-	*e = event{time: t, seq: g.seq}
-	g.seq++
-	return e
 }
 
 // Step executes the single earliest event. It reports false when the
@@ -108,19 +133,16 @@ func (g *Engine) Step() bool {
 	if len(g.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&g.queue).(*event)
-	if e.time < g.now {
-		panic("event: time ran backwards")
-	}
+	e := g.pop()
 	g.now = e.time
 	g.nsteps++
-	h, argh, arg := e.handler, e.argh, e.arg
-	*e = event{}
-	g.free = append(g.free, e)
-	if argh != nil {
-		argh(g.now, arg)
-	} else {
+	if e.kind == slotKind {
+		h := g.slots[e.arg]
+		g.slots[e.arg] = nil
+		g.free = append(g.free, int32(e.arg))
 		h(g.now)
+	} else {
+		g.kinds[e.kind-1](g.now, e.arg)
 	}
 	return true
 }
@@ -143,26 +165,62 @@ func (g *Engine) RunLimit(n uint64) bool {
 	return len(g.queue) == 0
 }
 
-// Inf is an effectively infinite simulation time.
-const Inf = Time(math.MaxFloat64)
-
-// eventHeap orders events by (time, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// push stamps e with the next sequence number and sifts it up from a new
+// leaf: parents later than e move down into the hole until e fits.
+func (g *Engine) push(e event) {
+	e.seq = g.seq
+	g.seq++
+	g.queue = append(g.queue, e)
+	q := g.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the root. The root's hole is carried down to
+// a leaf along the earliest child of each level, then the last leaf is
+// sifted up from there: it is usually among the latest events, so it
+// settles near the bottom and the descent skips comparing against it.
+func (g *Engine) pop() event {
+	q := g.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	g.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		q[i] = q[m]
+		i = m
+	}
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !last.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = last
+	return top
 }

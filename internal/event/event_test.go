@@ -3,19 +3,38 @@ package event
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
 
+// Queued events must stay small plain values: a pointer-typed field would
+// bring back GC write barriers on every heap move.
+func TestEventIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(event{})
+	if typ.Size() > 32 {
+		t.Errorf("event is %d bytes, want at most 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64,
+			reflect.Uint32, reflect.Uint64, reflect.Float64:
+		default:
+			t.Errorf("event field %s has kind %s, want a plain scalar", f.Name, f.Type.Kind())
+		}
+	}
+}
+
 func TestFIFOAmongTies(t *testing.T) {
 	g := New()
 	var order []int
+	k := g.Handle(func(_ Time, arg int) { order = append(order, arg) })
 	for i := 0; i < 10; i++ {
 		i := i
 		if i%2 == 0 {
 			g.Post(5, func(Time) { order = append(order, i) })
 		} else {
-			g.PostArg(5, func(_ Time, arg int) { order = append(order, arg) }, i)
+			g.PostArg(5, k, i)
 		}
 	}
 	g.Run()
@@ -33,14 +52,14 @@ func TestTimeOrdering(t *testing.T) {
 	g := New()
 	var fired []Time
 	times := []Time{9, 3, 7, 1, 3, 8, 0}
-	for _, tm := range times {
-		tm := tm
-		g.Post(tm, func(now Time) {
-			if now != tm {
-				t.Errorf("fired at %v, scheduled %v", now, tm)
-			}
-			fired = append(fired, now)
-		})
+	k := g.Handle(func(now Time, i int) {
+		if now != times[i] {
+			t.Errorf("fired at %v, scheduled %v", now, times[i])
+		}
+		fired = append(fired, now)
+	})
+	for i, tm := range times {
+		g.PostArg(tm, k, i)
 	}
 	end := g.Run()
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
@@ -54,46 +73,52 @@ func TestTimeOrdering(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and reports an error unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s must panic", what)
+		}
+	}()
+	f()
+}
+
 func TestSchedulePastPanics(t *testing.T) {
-	for name, post := range map[string]func(g *Engine){
-		"Post":    func(g *Engine) { g.Post(5, func(Time) {}) },
-		"PostArg": func(g *Engine) { g.PostArg(5, func(Time, int) {}, 0) },
-	} {
-		g := New()
-		g.Post(10, func(Time) {})
-		g.Run()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: scheduling in the past must panic", name)
-				}
-			}()
-			post(g)
-		}()
+	g := New()
+	k := g.Handle(func(Time, int) {})
+	g.PostArg(10, k, 0)
+	g.Run()
+	mustPanic(t, "Post in the past", func() { g.Post(5, func(Time) {}) })
+	mustPanic(t, "PostArg in the past", func() { g.PostArg(5, k, 0) })
+	if g.Pending() != 0 {
+		t.Errorf("rejected posts left %d events queued", g.Pending())
 	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {
-	for name, post := range map[string]func(g *Engine){
-		"Post":    func(g *Engine) { g.Post(1, nil) },
-		"PostArg": func(g *Engine) { g.PostArg(1, nil, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: nil handler must panic", name)
-				}
-			}()
-			post(New())
-		}()
+	mustPanic(t, "Post(nil)", func() { New().Post(1, nil) })
+	mustPanic(t, "Handle(nil)", func() { New().Handle(nil) })
+}
+
+func TestUnknownKindPanics(t *testing.T) {
+	g := New()
+	k := g.Handle(func(Time, int) {})
+	mustPanic(t, "PostArg with the zero Kind", func() { g.PostArg(1, 0, 0) })
+	mustPanic(t, "PostArg with an unregistered Kind", func() { g.PostArg(1, k+1, 0) })
+	mustPanic(t, "PostArg with another engine's Kind", func() { New().PostArg(1, k, 0) })
+	g.PostArg(1, k, 0) // the registered kind still works
+	if g.Pending() != 1 {
+		t.Errorf("pending = %d, want 1", g.Pending())
 	}
 }
 
 func TestRunLimit(t *testing.T) {
 	g := New()
 	count := 0
+	k := g.Handle(func(Time, int) { count++ })
 	for i := 0; i < 10; i++ {
-		g.Post(Time(i), func(Time) { count++ })
+		g.PostArg(Time(i), k, i)
 	}
 	if g.RunLimit(4) {
 		t.Error("queue must not drain in 4 steps")
@@ -153,43 +178,170 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
+// TestOrderOracle checks the heap against its specification on random
+// workloads: the firing order of every event ever posted equals a stable
+// sort of the posts by time, i.e. (time, post order). Each seed mixes
+// Post closures with PostArg across several kinds, posts from inside
+// handlers (some at exactly now), draws times from a small set so ties
+// are common, and drains in random RunLimit slices with outside posts
+// between them.
+func TestOrderOracle(t *testing.T) {
+	for seed := int64(0); seed < 256; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New()
+
+		type post struct {
+			time Time
+			kind Kind // 0 for a Post closure
+		}
+		var posts []post // indexed by post id
+		var fired []int  // post ids in firing order
+		budget := 200 + rng.Intn(1800)
+
+		var kinds []Kind
+		var postRandom func()
+		fire := func(k Kind, now Time, id int) {
+			if posts[id].kind != k {
+				t.Fatalf("seed %d: post %d (kind %d) fired through kind %d", seed, id, posts[id].kind, k)
+			}
+			if posts[id].time != now {
+				t.Fatalf("seed %d: post %d at %v fired at %v", seed, id, posts[id].time, now)
+			}
+			fired = append(fired, id)
+			for n := rng.Intn(3); n > 0; n-- {
+				postRandom()
+			}
+		}
+		for i := 0; i < 3; i++ {
+			var k Kind
+			k = g.Handle(func(now Time, id int) { fire(k, now, id) })
+			kinds = append(kinds, k)
+		}
+		deltas := []Time{0, 0, 1, 2, 5, 0.5}
+		postRandom = func() {
+			if len(posts) >= budget {
+				return
+			}
+			id := len(posts)
+			at := g.Now() + deltas[rng.Intn(len(deltas))]
+			if rng.Intn(2) == 0 {
+				posts = append(posts, post{time: at})
+				g.Post(at, func(now Time) { fire(0, now, id) })
+			} else {
+				k := kinds[rng.Intn(len(kinds))]
+				posts = append(posts, post{time: at, kind: k})
+				g.PostArg(at, k, id)
+			}
+		}
+
+		for i := 0; i < 20; i++ {
+			postRandom()
+		}
+		for g.Pending() > 0 {
+			want := g.Steps() + uint64(rng.Intn(40))
+			drained := g.RunLimit(want - g.Steps())
+			if drained != (g.Pending() == 0) {
+				t.Fatalf("seed %d: RunLimit reported drained=%v with %d pending", seed, drained, g.Pending())
+			}
+			if !drained && g.Steps() != want {
+				t.Fatalf("seed %d: RunLimit stopped at %d steps, want %d", seed, g.Steps(), want)
+			}
+			for n := rng.Intn(4); n > 0; n-- {
+				postRandom() // resume with posts from outside any handler
+			}
+		}
+
+		if len(fired) != len(posts) || g.Steps() != uint64(len(posts)) {
+			t.Fatalf("seed %d: fired %d of %d posts in %d steps", seed, len(fired), len(posts), g.Steps())
+		}
+		want := make([]int, len(posts))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return posts[want[i]].time < posts[want[j]].time })
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is post %d, want post %d", seed, i, fired[i], want[i])
+			}
+		}
+		if last := posts[want[len(want)-1]].time; g.Now() != last {
+			t.Fatalf("seed %d: clock at %v, want %v", seed, g.Now(), last)
+		}
+	}
+}
+
+// Post closures and PostArg kinds share one (time, seq) order, and a
+// warm engine (queue and slot table grown to their working size)
+// schedules and fires through either without allocating.
 func TestPostAndPostArgPooling(t *testing.T) {
 	g := New()
 	var order []string
+	k := g.Handle(func(_ Time, arg int) { order = append(order, fmt.Sprintf("arg%d@1", arg)) })
 	g.Post(2, func(Time) { order = append(order, "post@2") })
-	g.PostArg(1, func(_ Time, arg int) { order = append(order, fmt.Sprintf("arg%d@1", arg)) }, 7)
+	g.PostArg(1, k, 7)
 	g.Post(1, func(Time) { order = append(order, "post@1") })
 	g.Run()
-	want := []string{"arg7@1", "post@1", "post@2"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []string{"arg7@1", "post@1", "post@2"}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 
-	// Events are recycled: a chain of sequential Posts reuses one event
-	// from the free list instead of allocating per step.
-	g2 := New()
-	count := 0
-	var tick Handler
-	tick = func(now Time) {
-		count++
-		if count < 100 {
-			g2.Post(now+1, tick)
-		}
+	g = New()
+	k = g.Handle(func(Time, int) {})
+	tick := Handler(func(Time) {})
+	for i := 0; i < 64; i++ {
+		g.PostArg(Time(i), k, i)
+		g.Post(Time(i), tick)
 	}
-	g2.Post(0, tick)
-	allocs := testing.AllocsPerRun(1, func() {
-		count = 0
-		g2.Post(g2.Now(), tick)
-		g2.Run()
-	})
-	if count != 100 {
-		t.Fatalf("chain ran %d steps", count)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		g.PostArg(g.Now()+3, k, 1)
+		g.Step()
+	}); allocs != 0 {
+		t.Errorf("warm PostArg+Step allocated %.1f times", allocs)
 	}
-	// One warm-up run has filled the free list; steady-state scheduling
-	// must not allocate per event (allow slack for the heap slice).
-	if allocs > 5 {
-		t.Errorf("pooled Post allocated %.0f times per run", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		g.Post(g.Now()+3, tick)
+		g.Step()
+	}); allocs != 0 {
+		t.Errorf("warm Post+Step allocated %.1f times", allocs)
+	}
+	// At most Pending()+1 closures were ever parked at once: the table
+	// reuses fired slots instead of growing per Post.
+	if limit := g.Pending() + 1; len(g.slots) > limit {
+		t.Errorf("slot table grew to %d for at most %d parked closures", len(g.slots), limit)
+	}
+}
+
+// BenchmarkEngine times the event core alone, the first rung of the
+// layer ladder: a steady population of pending events where every fired
+// event re-posts itself through PostArg at now+δ. δ comes from a small
+// fixed set, so equal times (seq tie-breaks) are common, as in replays.
+func BenchmarkEngine(b *testing.B) {
+	deltas := [8]Time{0, 1, 1, 2, 3, 5, 8, 13}
+	for _, pending := range []int{64, 4096, 65536} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			g := New()
+			var k Kind
+			x := uint32(1)
+			k = g.Handle(func(now Time, arg int) {
+				x ^= x << 13
+				x ^= x >> 17
+				x ^= x << 5
+				g.PostArg(now+deltas[x&7], k, arg)
+			})
+			for p := 0; p < pending; p++ {
+				g.PostArg(deltas[p&7], k, p)
+			}
+			g.RunLimit(uint64(pending)) // grow the queue to its working size
+			b.ReportAllocs()
+			b.ResetTimer()
+			g.RunLimit(uint64(b.N))
+			b.StopTimer()
+			if g.Pending() != pending {
+				b.Fatalf("pending drifted to %d", g.Pending())
+			}
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(b.N)/sec, "events/s")
+			b.ReportMetric(sec*1e9/float64(b.N), "ns/event")
+		})
 	}
 }

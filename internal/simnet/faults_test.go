@@ -222,3 +222,37 @@ func TestSetFaultPlanValidation(t *testing.T) {
 		}
 	}
 }
+
+// On a damaged overlay the replay takes hop counts from the fault-aware
+// route it walks into its reused route buffer: the same distance as
+// Degraded.Distance for every pair, without allocating per call.
+func TestDegradedReplayDistance(t *testing.T) {
+	for _, spec := range []string{"hypercube-6!dl=0-1", "torus-4x4x4!sl=0-1:2"} {
+		dg, ok := topology.MustParseSpec(spec).(*topology.Degraded)
+		if !ok {
+			t.Fatalf("%s: not a degraded overlay", spec)
+		}
+		n := New(dg, model.IPSC860())
+		st := n.newRunState(nil, make([]edgeState, dg.Nodes()*dg.Degree()))
+		if !st.routedDist {
+			t.Fatalf("%s: replay does not route distances", spec)
+		}
+		nodes := dg.Nodes()
+		for a := 0; a < nodes; a++ {
+			for b := 0; b < nodes; b++ {
+				if got, want := st.dist(a, b), dg.Distance(a, b); got != want {
+					t.Fatalf("%s: dist(%d,%d) = %d, Degraded.Distance = %d", spec, a, b, got, want)
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for a := 0; a < nodes; a++ {
+				for b := 0; b < nodes; b++ {
+					st.dist(a, b)
+				}
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: replay distances over all pairs allocated %.0f times", spec, allocs)
+		}
+	}
+}

@@ -222,9 +222,58 @@ type runState struct {
 	// windows, so encountering one mid-window is a verification bug.
 	windowed bool
 
-	// Long-lived bound handlers so event scheduling never allocates.
-	stepH    event.ArgHandler
-	deliverH event.ArgHandler
+	// routedDist takes hop counts from the fault-aware route (a degraded
+	// overlay with faults), walked into routeBuf, instead of Distance.
+	routedDist bool
+
+	// Event kinds of the two handlers, registered once per engine.
+	stepK    event.Kind
+	deliverK event.Kind
+}
+
+// newRunState returns an interpreter for src whose directed-link state is
+// edges, with its event kinds registered and every node idle at time 0.
+func (n *Network) newRunState(src Source, edges []edgeState) *runState {
+	nodes := n.topo.Nodes()
+	st := &runState{
+		net:   n,
+		eng:   event.New(),
+		src:   src,
+		topo:  n.topo,
+		n:     nodes,
+		hyper: n.hyper != nil,
+		deg:   n.topo.Degree(),
+		syncD: n.topo.Diameter(),
+
+		pc:      make([]int32, nodes),
+		lens:    make([]int32, nodes),
+		opStart: make([]float64, nodes),
+		ready:   make([]float64, nodes),
+		done:    make([]bool, nodes),
+		exPeer:  make([]int32, nodes),
+		exBytes: make([]int, nodes),
+		exReady: make([]float64, nodes),
+		edges:   edges,
+		outIdx:  make([][]chanRef, nodes),
+		stall:   make([]float64, nodes),
+		res:     Result{NodeFinish: make([]float64, nodes)},
+	}
+	if n.hyper != nil {
+		st.d = n.hyper.Dim()
+	}
+	if dg, ok := n.topo.(*topology.Degraded); ok {
+		st.routedDist = !dg.Healthy()
+		if dg.HasSlowLinks() {
+			st.degr = dg
+		}
+	}
+	st.faulty = st.degr != nil || n.faults != nil
+	for p := range st.exPeer {
+		st.exPeer[p] = -1
+	}
+	st.stepK = st.eng.Handle(func(_ event.Time, p int) { st.step(p) })
+	st.deliverK = st.eng.Handle(func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) })
+	return st
 }
 
 // edgeState is one directed link. Holds on a link never overlap (each
@@ -349,50 +398,22 @@ func (n *Network) runSource(src Source) (Result, error) {
 			}
 		}
 	}
-	nodes := n.topo.Nodes()
-	d := 0
-	if n.hyper != nil {
-		d = n.hyper.Dim()
-	}
-	st := &runState{
-		net:   n,
-		eng:   event.New(),
-		src:   src,
-		topo:  n.topo,
-		n:     nodes,
-		d:     d,
-		hyper: n.hyper != nil,
-		deg:   n.topo.Degree(),
-		syncD: n.topo.Diameter(),
+	st, err := n.runSerial(src)
+	return st.res, err
+}
 
-		pc:      make([]int32, nodes),
-		lens:    make([]int32, nodes),
-		opStart: make([]float64, nodes),
-		ready:   make([]float64, nodes),
-		done:    make([]bool, nodes),
-		exPeer:  make([]int32, nodes),
-		exBytes: make([]int, nodes),
-		exReady: make([]float64, nodes),
-		edges:   make([]edgeState, nodes*n.topo.Degree()),
-		outIdx:  make([][]chanRef, nodes),
-		stall:   make([]float64, nodes),
-		res:     Result{NodeFinish: make([]float64, nodes), ReplayShards: 1},
-	}
+// runSerial replays src on a single event engine and returns the final
+// interpreter state; st.res holds the result.
+func (n *Network) runSerial(src Source) (*runState, error) {
+	nodes := n.topo.Nodes()
+	st := n.newRunState(src, make([]edgeState, nodes*n.topo.Degree()))
+	st.res.ReplayShards = 1
 	if n.jitterFrac != 0 {
 		// Fresh per-Run streams seeded from the Network keep jitter
 		// reproducible across repeated and concurrent Runs (see
 		// SetJitter); never touch the global math/rand state here.
 		st.rngs = seedJitterStreams(n.jitterSeed, nodes)
 	}
-	if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
-		st.degr = dg
-	}
-	st.faulty = st.degr != nil || n.faults != nil
-	for p := range st.exPeer {
-		st.exPeer[p] = -1
-	}
-	st.stepH = func(_ event.Time, p int) { st.step(p) }
-	st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
 
 	totalOps := uint64(0)
 	for p := 0; p < nodes; p++ {
@@ -401,7 +422,7 @@ func (n *Network) runSource(src Source) (Result, error) {
 	}
 	// Seed: every node begins interpreting its program at time 0.
 	for p := 0; p < nodes; p++ {
-		st.eng.PostArg(0, st.stepH, p)
+		st.eng.PostArg(0, st.stepK, p)
 	}
 	budget := n.budget
 	if budget == 0 {
@@ -415,14 +436,14 @@ func (n *Network) runSource(src Source) (Result, error) {
 		}
 	}
 	if !st.eng.RunLimit(budget) {
-		return st.res, st.budgetError(budget)
+		return st, st.budgetError(budget)
 	}
 	if st.failed != nil {
-		return st.res, st.failed
+		return st, st.failed
 	}
 	for p, d := range st.done {
 		if !d {
-			return st.res, fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
+			return st, fmt.Errorf("simnet: node %d blocked at op %d (%s): deadlock",
 				p, st.pc[p], st.opName(p))
 		}
 	}
@@ -437,7 +458,7 @@ func (n *Network) runSource(src Source) (Result, error) {
 	for p := 0; p < nodes; p++ {
 		st.res.ContentionStall += st.stall[p]
 	}
-	return st.res, nil
+	return st, nil
 }
 
 // budgetError reports event-budget exhaustion with enough detail to act
@@ -567,7 +588,7 @@ func (st *runState) advance(p int, t float64) {
 	}
 	st.ready[p] = t
 	st.pc[p]++
-	st.eng.PostArg(event.Time(t), st.stepH, p)
+	st.eng.PostArg(event.Time(t), st.stepK, p)
 }
 
 // park leaves node p blocked inside its current op; a later event will

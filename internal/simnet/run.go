@@ -54,10 +54,16 @@ func nextJitter(state *uint64) float64 {
 }
 
 // dist returns the routed distance between two nodes: the Hamming
-// bit-trick on the hypercube, the topology's Distance elsewhere.
+// bit-trick on the hypercube, the length of the fault-aware route walked
+// into the reused routeBuf on a damaged overlay (Degraded.Distance would
+// allocate a route per call), the topology's Distance elsewhere.
 func (st *runState) dist(a, b int) int {
 	if st.hyper {
 		return bits.OnesCount(uint(a ^ b))
+	}
+	if st.routedDist {
+		st.routeBuf = st.topo.AppendRoute(st.routeBuf, a, b)
+		return len(st.routeBuf) - 1
 	}
 	return st.topo.Distance(a, b)
 }
@@ -338,7 +344,7 @@ func (st *runState) doSend(p int, op Op) {
 	finish := start + dur
 	st.res.Messages++
 	st.res.BytesMoved += op.Bytes
-	st.eng.PostArg(event.Time(finish), st.deliverH, ci)
+	st.eng.PostArg(event.Time(finish), st.deliverK, ci)
 	st.advance(p, finish)
 }
 

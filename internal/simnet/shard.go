@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/event"
-	"repro/internal/topology"
 )
 
 // PhaseSpan describes one phase of a sharded replay source: a leading
@@ -151,42 +150,11 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 	edges := make([]edgeState, nodes*deg)
 	ws := make([]*runState, w)
 	for s := range ws {
-		st := &runState{
-			net:      n,
-			eng:      event.New(),
-			src:      src,
-			topo:     n.topo,
-			n:        nodes,
-			d:        d,
-			hyper:    n.hyper != nil,
-			deg:      deg,
-			syncD:    n.topo.Diameter(),
-			pc:       make([]int32, nodes),
-			lens:     make([]int32, nodes),
-			opStart:  make([]float64, nodes),
-			ready:    make([]float64, nodes),
-			done:     make([]bool, nodes),
-			exPeer:   make([]int32, nodes),
-			exBytes:  make([]int, nodes),
-			exReady:  make([]float64, nodes),
-			edges:    edges,
-			outIdx:   make([][]chanRef, nodes),
-			stall:    make([]float64, nodes),
-			res:      Result{NodeFinish: make([]float64, nodes)},
-			windowed: true,
-		}
-		if dg, ok := n.topo.(*topology.Degraded); ok && dg.HasSlowLinks() {
-			st.degr = dg
-		}
-		st.faulty = st.degr != nil || n.faults != nil
-		for p := range st.exPeer {
-			st.exPeer[p] = -1
-		}
+		st := n.newRunState(src, edges)
+		st.windowed = true
 		if n.jitterFrac != 0 {
 			st.rngs = make([]uint64, nodes)
 		}
-		st.stepH = func(_ event.Time, p int) { st.step(p) }
-		st.deliverH = func(now event.Time, ch int) { st.deliverAt(ch, float64(now)) }
 		ws[s] = st
 	}
 
@@ -241,7 +209,7 @@ func (n *Network) runSharded(src Sharded, w int) (Result, bool, error) {
 			if rngs != nil {
 				st.rngs[p] = rngs[p]
 			}
-			st.eng.PostArg(event.Time(release), st.stepH, p)
+			st.eng.PostArg(event.Time(release), st.stepK, p)
 		}
 
 		budget := n.budget
